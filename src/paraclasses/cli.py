@@ -185,13 +185,16 @@ def _dispatch(args) -> int:
     if args.command == "classes":
         if args.classes_command == "parabolic":
             field = ff_order(args.q)
+            if args.reps:
+                # all built before any is printed: a budget exit prints none
+                reps = [class_rep_to_json(rep, field) for rep in
+                        parabolic_class_reps(args.m, args.n, field,
+                                             budget=args.budget)]
+                for rep in reps:
+                    _emit(rep)
+                return 0
             count = parabolic_class_count(args.m, args.n, field,
                                           budget=args.budget, threads=args.threads)
-            if args.reps:
-                for rep in parabolic_class_reps(args.m, args.n, field,
-                                                budget=args.budget):
-                    _emit(class_rep_to_json(rep, field))
-                return 0
             if args.csv:
                 print("m,n,q,count")
                 print(f"{args.m},{args.n},{args.q},{count}")

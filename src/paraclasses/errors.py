@@ -2,9 +2,12 @@
 
 
 class BudgetExceeded(Exception):
-    """An enumeration would visit more states than the configured budget."""
+    """An enumeration would visit more states than the configured budget.
 
-    def __init__(self, required, budget):
+    ``what`` names the problem that ran out, such as the grid shape and
+    field of an orbit sweep."""
+
+    def __init__(self, required, budget, what="enumeration"):
         self.required = required
         self.budget = budget
-        super().__init__(f"needs {required} states, budget is {budget}")
+        super().__init__(f"{what} needs {required} states, budget {budget}")

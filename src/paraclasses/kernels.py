@@ -1,198 +1,143 @@
-"""Hot orbit-enumeration loops.
+"""The orbit kernel: a vectorized frontier BFS over packed generator actions.
 
 States are mixed-radix integers over the field order, first coefficient
 most significant, so ascending state order is lexicographic order on
 coefficient sequences.  Every group generator acts linearly; its action is
-packed as the sparse rows where its matrix differs from the identity, and
-applied with dense field op tables.  The visited set is a bitset so that
-the random-access inner loop stays cache-resident even for spaces of a few
-hundred million states.
+packed as the rows where its matrix differs from the identity, each with a
+small table of the change it makes to a state, and applied to a whole chunk
+of states at once.
 
-The full-space sweep runs a numba @njit kernel by default and a pure-numpy
-vectorized kernel as fallback; select with PARACLASSES_KERNEL=numba|numpy
-(anything else means auto).
+One expansion step serves both entry points: apply every generator to a
+chunk of the frontier, drop the images already visited, deduplicate the
+rest by sorting, and mark them.  `orbit_partition` keeps the visited set as
+a bitset over the space and takes seeds in ascending order, so each
+representative is its orbit's minimum.  `orbit_closure` keeps the visited
+set as a sorted array, so its memory follows the one orbit it explores.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import BudgetExceeded
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # pragma: no cover
-        def wrap(f):
-            return f
-        return wrap
-
 
 def kernel_choice() -> str:
-    env = os.environ.get("PARACLASSES_KERNEL", "auto").lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("PARACLASSES_KERNEL=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the orbit kernel (there is one, in plain numpy)."""
+    return "numpy"
 
 
 class PackedActions:
-    """Sparse row-update form of a list of linear generator actions."""
+    """Sparse row-update form of a list of linear generator actions.
 
-    __slots__ = ("dim", "radix", "pows", "tptr", "trow", "sptr", "scol", "scal",
-                 "addt", "mult")
+    ``gens[g]`` lists the rows that generator g changes, each as (columns,
+    table): the columns are the row itself and every column it reads, and
+    the table maps their digits, read as a base-radix number, to the change
+    the row makes to the state.  Elementary generators read at most two
+    digits per row, so the tables are small.
+    """
+
+    __slots__ = ("dim", "radix", "pows", "gens")
 
     def __init__(self, dim, radix, matrices, add_table, mul_table):
         self.dim = dim
         self.radix = radix
-        pows = np.empty(dim, dtype=np.int64)
-        p = 1
-        for slot in range(dim - 1, -1, -1):
-            pows[slot] = p
-            p *= radix
-        self.pows = pows
-        tptr, trow, sptr, scol, scal = [0], [], [0], [], []
+        self.pows = radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        add = np.asarray(add_table, dtype=np.int64)
+        mul = np.asarray(mul_table, dtype=np.int64)
+        self.gens = []
         seen = set()
+        changes = {}  # (scalars, position of the row) -> change in the row's digit
         for m in matrices:
             key = tuple(tuple(row) for row in m)
             if key in seen:
                 continue
             seen.add(key)
-            changed = []
+            rows = []
             for r in range(dim):
-                ident = all(m[r][c] == (1 if c == r else 0) for c in range(dim))
-                if not ident:
-                    changed.append(r)
-            if not changed:
-                continue
-            for r in changed:
-                trow.append(r)
-                for c in range(dim):
-                    if m[r][c] != 0:
-                        scol.append(c)
-                        scal.append(m[r][c])
-                sptr.append(len(scol))
-            tptr.append(len(trow))
-        self.tptr = np.array(tptr, dtype=np.int64)
-        self.trow = np.array(trow, dtype=np.int64)
-        self.sptr = np.array(sptr, dtype=np.int64)
-        self.scol = np.array(scol, dtype=np.int64)
-        self.scal = np.array(scal, dtype=np.int64)
-        self.addt = np.ascontiguousarray(add_table, dtype=np.int64)
-        self.mult = np.ascontiguousarray(mul_table, dtype=np.int64)
+                if all(m[r][c] == (1 if c == r else 0) for c in range(dim)):
+                    continue
+                cols = sorted({r} | {c for c in range(dim) if m[r][c]})
+                ck = (tuple(m[r][c] for c in cols), cols.index(r))
+                if ck not in changes:
+                    digits = np.indices((radix,) * len(cols)).reshape(len(cols), -1)
+                    new = np.zeros(digits.shape[1], dtype=np.int64)
+                    for a, d in zip(ck[0], digits):
+                        new = add[new, mul[a, d]]
+                    changes[ck] = new - digits[ck[1]]
+                rows.append((cols, changes[ck] * self.pows[r]))
+            if rows:
+                self.gens.append(rows)
 
     @property
     def n_gens(self) -> int:
-        return len(self.tptr) - 1
+        return len(self.gens)
 
     def space(self) -> int:
         return self.radix ** self.dim
 
 
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+def _apply_gen_batch(states, digits, pa: PackedActions, g: int, out) -> None:
+    """Write generator g's image of every state into out; digits[i] holds
+    digit i of every state."""
+    out[:] = states
+    for cols, table in pa.gens[g]:
+        key = digits[cols[0]]
+        for c in cols[1:]:
+            key = key * pa.radix + digits[c]
+        out += table[key]
 
 
-@njit(nogil=True, cache=True)
-def _orbit_sweep_numba(seed, pows, radix, tptr, trow, sptr, scol, scal,
-                       addt, mult, bits, stack):
-    dim = pows.shape[0]
-    ngens = tptr.shape[0] - 1
-    digits = np.empty(dim, np.int64)
-    stack[0] = seed
-    bits[seed >> 6] |= np.uint64(1) << np.uint64(seed & 63)
-    top = 1
-    size = 0
-    while top > 0:
-        top -= 1
-        s = np.int64(stack[top])
-        size += 1
-        for i in range(dim):
-            digits[i] = (s // pows[i]) % radix
-        for g in range(ngens):
-            s2 = s
-            for ti in range(tptr[g], tptr[g + 1]):
-                acc = np.int64(0)
-                for si in range(sptr[ti], sptr[ti + 1]):
-                    acc = addt[acc, mult[scal[si], digits[scol[si]]]]
-                s2 += (acc - digits[trow[ti]]) * pows[trow[ti]]
-            w = s2 >> 6
-            m = np.uint64(1) << np.uint64(s2 & 63)
-            if bits[w] & m == 0:
-                bits[w] |= m
-                stack[top] = s2
-                top += 1
-    return size
+_CHUNK = 1 << 14
 
 
-def _apply_gen_batch(states, digits, pa: PackedActions, g: int) -> np.ndarray:
-    out = states.copy()
-    for ti in range(pa.tptr[g], pa.tptr[g + 1]):
-        acc = np.zeros(states.shape[0], dtype=np.int64)
-        for si in range(pa.sptr[ti], pa.sptr[ti + 1]):
-            acc = pa.addt[acc, pa.mult[pa.scal[si], digits[:, pa.scol[si]]]]
-        t = pa.trow[ti]
-        out += (acc - digits[:, t]) * pa.pows[t]
-    return out
+def _expand(frontier, pa: PackedActions):
+    """Yield the images of frontier states under every generator, one
+    chunk of the frontier at a time."""
+    if not pa.n_gens:
+        return
+    for lo in range(0, frontier.size, _CHUNK):
+        chunk = frontier[lo:lo + _CHUNK]
+        digits = (chunk // pa.pows[:, None]) % pa.radix
+        out = np.empty((pa.n_gens, chunk.size), dtype=np.int64)
+        for g in range(pa.n_gens):
+            _apply_gen_batch(chunk, digits, pa, g, out[g])
+        yield out.ravel()
 
 
-_CHUNK = 1 << 16
+def _sorted_unique(a):
+    """The distinct values of a, ascending; sorts a in place.  np.unique
+    would hash on recent numpy, many times slower than a sort here."""
+    a.sort()
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
-def _bits_test(bits, states):
-    return (bits[states >> 6] >> (states & 63).astype(np.uint64)) & np.uint64(1)
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
-def _bits_set(bits, states):
-    np.bitwise_or.at(bits, states >> 6,
-                     np.uint64(1) << (states & 63).astype(np.uint64))
+def _unvisited(bits, states):
+    return bits[states >> 3] & _BIT[states & 7] == 0
 
 
-def _orbit_sweep_numpy(seed, pa: PackedActions, bits) -> int:
-    frontier = np.array([seed], dtype=np.int64)
-    _bits_set(bits, frontier)
-    size = 0
-    while frontier.size:
-        size += int(frontier.size)
-        nxt = []
-        for lo in range(0, frontier.size, _CHUNK):
-            chunk = frontier[lo:lo + _CHUNK]
-            digits = (chunk[:, None] // pa.pows[None, :]) % pa.radix
-            news = [_apply_gen_batch(chunk, digits, pa, g) for g in range(pa.n_gens)]
-            if not news:
-                continue
-            cand = np.unique(np.concatenate(news))
-            fresh = cand[_bits_test(bits, cand) == 0]
-            _bits_set(bits, fresh)
-            nxt.append(fresh)
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, np.int64)
-    return size
+def _mark(bits, states):
+    np.bitwise_or.at(bits, states >> 3, _BIT[states & 7])
 
 
-def _next_unvisited(bits, nwords: int, start_word: int, space: int) -> int:
-    i = start_word
-    block = 1 << 18
-    while i < nwords:
-        chunk = bits[i:i + block]
-        hit = np.nonzero(chunk != _FULL)[0]
+def _next_unvisited(bits, start: int) -> int:
+    """Least state >= start (rounded down to its byte) whose bit is clear,
+    or -1; the bits past the end of the space are set."""
+    i, block = start >> 3, 512
+    while i < bits.size:
+        hit = np.flatnonzero(bits[i:i + block] != 0xFF)
         if hit.size:
-            w = i + int(hit[0])
-            word = int(chunk[int(hit[0])])
-            for b in range(64):
-                s = (w << 6) + b
-                if s >= space:
-                    return -1
-                if not (word >> b) & 1:
-                    return s
+            byte = i + int(hit[0])
+            b = int(bits[byte])
+            return (byte << 3) + (~b & (b + 1)).bit_length() - 1
         i += block
+        block <<= 1
     return -1
 
 
@@ -200,29 +145,27 @@ def orbit_partition(pa: PackedActions, budget: int):
     """Sweep the whole space: (reps ascending, sizes) of every orbit.
 
     Reps are the minimal state of each orbit because seeds are taken in
-    ascending order.  Identical output for both kernels.
+    ascending order.
     """
     space = pa.space()
     if space > budget:
         raise BudgetExceeded(space, budget)
-    if space >= 1 << 32:
-        raise BudgetExceeded(space, 1 << 32)  # stack entries are 32-bit
-    use = kernel_choice()
-    nwords = (space + 63) >> 6
-    bits = np.zeros(nwords, dtype=np.uint64)
-    stack = np.empty(space, dtype=np.uint32) if use == "numba" else None
+    bits = np.zeros((space + 7) >> 3, dtype=np.uint8)
+    _mark(bits, np.arange(space, bits.size << 3))  # padding counts as visited
     reps, sizes = [], []
     seed = 0
-    while True:
-        seed = _next_unvisited(bits, nwords, seed >> 6, space)
-        if seed < 0:
-            break
-        if use == "numba":
-            size = int(_orbit_sweep_numba(seed, pa.pows, pa.radix, pa.tptr, pa.trow,
-                                          pa.sptr, pa.scol, pa.scal, pa.addt, pa.mult,
-                                          bits, stack))
-        else:
-            size = _orbit_sweep_numpy(seed, pa, bits)
+    while (seed := _next_unvisited(bits, seed)) >= 0:
+        frontier = np.array([seed], dtype=np.int64)
+        _mark(bits, frontier)
+        size = 0
+        while frontier.size:
+            size += frontier.size
+            fresh = []
+            for cand in _expand(frontier, pa):
+                cand = _sorted_unique(cand[_unvisited(bits, cand)])
+                _mark(bits, cand)
+                fresh.append(cand)
+            frontier = np.concatenate(fresh) if fresh else frontier[:0]
         reps.append(seed)
         sizes.append(size)
     return reps, sizes
@@ -231,24 +174,18 @@ def orbit_partition(pa: PackedActions, budget: int):
 def orbit_closure(seed: int, pa: PackedActions, budget: int):
     """(minimal state, orbit size) of one orbit, without touching the rest
     of the space.  Raises BudgetExceeded if the orbit outgrows the budget."""
-    visited = {int(seed)}
-    mn = int(seed)
-    frontier = np.array([seed], dtype=np.int64)
+    visited = np.array([seed], dtype=np.int64)
+    frontier = visited
     while frontier.size:
-        fresh_all = []
-        for lo in range(0, frontier.size, _CHUNK):
-            chunk = frontier[lo:lo + _CHUNK]
-            digits = (chunk[:, None] // pa.pows[None, :]) % pa.radix
-            news = [_apply_gen_batch(chunk, digits, pa, g) for g in range(pa.n_gens)]
-            if not news:
-                continue
-            for x in np.unique(np.concatenate(news)).tolist():
-                if x not in visited:
-                    visited.add(x)
-                    fresh_all.append(x)
-                    if len(visited) > budget:
-                        raise BudgetExceeded(len(visited), budget)
-        if fresh_all:
-            mn = min(mn, min(fresh_all))
-        frontier = np.array(fresh_all, dtype=np.int64)
-    return mn, len(visited)
+        fresh = []
+        for cand in _expand(frontier, pa):
+            cand = _sorted_unique(cand)
+            pos = np.searchsorted(visited, cand)
+            new = visited[np.minimum(pos, visited.size - 1)] != cand
+            cand = cand[new]
+            visited = np.insert(visited, pos[new], cand)
+            if visited.size > budget:
+                raise BudgetExceeded(visited.size, budget)
+            fresh.append(cand)
+        frontier = np.concatenate(fresh) if fresh else frontier[:0]
+    return int(visited[0]), int(visited.size)

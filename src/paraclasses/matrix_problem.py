@@ -86,12 +86,18 @@ class OrbitSet:
         return len(self.reps)
 
 
+def _describe(shape: CocentShape) -> str:
+    """The shape and field, as "(2,1)x(1,1) over F_3"."""
+    mu, nu = (",".join(map(str, lam)) for lam in (shape.mu, shape.nu))
+    return f"({mu})x({nu}) over F_{shape.field.order}"
+
+
 def enumerate_orbits(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> OrbitSet:
     """Complete orbit partition of the space for (mu, nu) over the field."""
     shape = CocentShape(mu, nu, field)
     space = field.order ** shape.dim
     if space > budget:
-        raise BudgetExceeded(space, budget)
+        raise BudgetExceeded(space, budget, _describe(shape))
     pa = packed_actions(shape)
     reps, sizes = orbit_partition(pa, budget)
     assert sum(sizes) == space
@@ -105,7 +111,10 @@ def orbit_count(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> int
 def canonical_form(v: CocentElement, budget: int = DEFAULT_BUDGET) -> CocentElement:
     """Lexicographic minimum of v's orbit (orbit-local closure only)."""
     pa = packed_actions(v.shape)
-    mn, _ = orbit_closure(encode(v), pa, budget)
+    try:
+        mn, _ = orbit_closure(encode(v), pa, budget)
+    except BudgetExceeded as e:
+        raise BudgetExceeded(e.required, e.budget, _describe(v.shape)) from None
     return decode(mn, v.shape)
 
 

@@ -139,7 +139,8 @@ def oracle_classes(m: int, n: int, field: FiniteField,
     nv = vs.size
     total = na * nv * nb
     if total > budget:
-        raise BudgetExceeded(total, budget)
+        group = f"AGL_{n}" if fix_a_identity else f"P({m},{n})"
+        raise BudgetExceeded(total, budget, f"oracle {group} over F_{field.order}")
     a_idx = {g.a.tobytes(): i for i, g in enumerate(gl_m)}
     b_idx = {g.a.tobytes(): i for i, g in enumerate(gl_n)}
 

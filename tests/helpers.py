@@ -90,3 +90,50 @@ def in_span(S, target):
     from paraclasses.matrices import Mat
     aug = Mat(S.field, np.hstack([S.a, target.a.reshape(-1, 1)]))
     return aug.rank() == S.rank()
+
+
+def reference_orbits(shape):
+    """Orbits of the corner space of a CocentShape by plain Python closure.
+
+    Each reduced generator of either side is turned into the images of the
+    basis elements under act_left/act_right, and applied by linearity with
+    field tables built here from the field's own add and mul.  Nothing of
+    the packed actions or the numpy kernel is used.  Returns the orbits as
+    sets of flat coefficient tuples, in the order of their least element;
+    tuples compare lexicographically, as the kernel's states do.
+    """
+    from paraclasses.centralizer import reduced_action_generators
+    from paraclasses.cocentralizer import CocentElement, act_left, act_right
+    K, dim = shape.field, shape.dim
+    els = list(K.elements())
+    add = [[K.add(a, b) for b in els] for a in els]
+    mul = [[K.mul(a, b) for b in els] for a in els]
+    basis = [CocentElement.from_flat(shape, [int(i == t) for i in range(dim)])
+             for t in range(dim)]
+    gens = [[act_left(g, e).flat() for e in basis]
+            for g in reduced_action_generators(shape.mu, K)]
+    gens += [[act_right(e, g).flat() for e in basis]
+             for g in reduced_action_generators(shape.nu, K)]
+
+    def apply(images, v):
+        out = [0] * dim
+        for c, img in zip(v, images):
+            if c:
+                out = [add[o][mul[c][x]] for o, x in zip(out, img)]
+        return tuple(out)
+
+    seen, orbits = set(), []
+    for v in itertools.product(els, repeat=dim):
+        if v in seen:
+            continue
+        orbit, stack = {v}, [v]
+        while stack:
+            w = stack.pop()
+            for images in gens:
+                img = apply(images, w)
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits

@@ -112,3 +112,30 @@ def test_budget_exit_code(capsys):
     assert run(["matprob", "orbits", "--q", "3", "--mu", "1,1,1,1",
                 "--nu", "1,1,1,1", "--budget", "100"]) == 3
     capsys.readouterr()
+
+
+def test_budget_message_names_shape_and_field(capsys):
+    assert run(["matprob", "orbits", "--q", "3", "--mu", "1,1,1,1",
+                "--nu", "1,1,1,1", "--budget", "4194304"]) == 3
+    err = capsys.readouterr().err
+    assert "(1,1,1,1)x(1,1,1,1) over F_3 needs 43046721 states, budget 4194304" in err
+
+
+def test_reps_line_count_equals_class_count(capsys):
+    code, out = _capture(capsys, ["classes", "parabolic", "--m", "2", "--n", "2",
+                                  "--q", "3"])
+    assert code == 0
+    count = json.loads(out)["count"]
+    assert count == 90
+    code, out = _capture(capsys, ["classes", "parabolic", "--m", "2", "--n", "2",
+                                  "--q", "3", "--reps"])
+    assert code == 0
+    assert len(out.splitlines()) == count
+
+
+def test_reps_budget_exit_prints_nothing(capsys):
+    assert run(["classes", "parabolic", "--m", "2", "--n", "2", "--q", "3",
+                "--reps", "--budget", "8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "over F_3 needs" in err

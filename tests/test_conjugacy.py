@@ -136,5 +136,6 @@ def test_class_rep_json_roundtrip():
 
 def test_oracle_budget():
     from paraclasses.errors import BudgetExceeded
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as ei:
         oracle_classes(2, 2, F3, budget=100)
+    assert str(ei.value) == "oracle P(2,2) over F_3 needs 186624 states, budget 100"

@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -13,6 +10,8 @@ from paraclasses.matrix_problem import (canonical_form, decode, encode,
                                         enumerate_orbits, orbit_count,
                                         reduce_structured, type_classify,
                                         wild_invariant)
+
+from helpers import reference_orbits
 
 F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 
@@ -94,24 +93,20 @@ def test_finite_type_canonical_reps_have_zero_one_entries(mu, nu, field):
         assert all(c in (0, 1) for row in v.entries for e in row for c in e)
 
 
-def test_kernel_parity_numba_vs_numpy():
-    code = (
-        "from paraclasses.gf import ff\n"
-        "from paraclasses.matrix_problem import enumerate_orbits\n"
-        "o = enumerate_orbits((2,1),(2,1), ff(3))\n"
-        "print(o.count); print(list(o.sizes))\n"
-        "o = enumerate_orbits((4,2),(4,2), ff(2))\n"
-        "print(o.count); print(list(o.sizes))\n"
-        "o = enumerate_orbits((1,),(1,), ff(2))\n"  # no nontrivial actions
-        "print(o.count); print(list(o.sizes))\n"
-    )
-    outs = []
-    for kern in ("numba", "numpy"):
-        env = dict(os.environ, PARACLASSES_KERNEL=kern)
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        outs.append(res.stdout)
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("mu,nu,field", [((2, 1), (2, 1), F3),
+                                         ((4, 2), (4, 2), F2),
+                                         ((1,), (1,), F2),  # no nontrivial actions
+                                         ((4, 1), (3, 2), F4)])
+def test_kernel_matches_reference_sweep(mu, nu, field):
+    sh = CocentShape(mu, nu, field)
+    ref = reference_orbits(sh)
+    os_ = enumerate_orbits(mu, nu, field)
+    assert [v.flat() for v in os_.reps] == [min(o) for o in ref]
+    assert list(os_.sizes) == [len(o) for o in ref]
+    for o in ref:
+        least = CocentElement.from_flat(sh, min(o))
+        for flat in (min(o), max(o)):
+            assert canonical_form(CocentElement.from_flat(sh, flat)) == least
 
 
 def test_orbit_count_field_independence_small():
