@@ -38,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "general linear groups over finite fields.")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized internals (default 0)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for independent subproblems; "
-                         "output does not depend on this")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gjnf", help="generalized Jordan data of a matrix")
@@ -194,7 +191,7 @@ def _dispatch(args) -> int:
                     _emit(rep)
                 return 0
             count = parabolic_class_count(args.m, args.n, field,
-                                          budget=args.budget, threads=args.threads)
+                                          budget=args.budget)
             if args.csv:
                 print("m,n,q,count")
                 print(f"{args.m},{args.n},{args.q},{count}")
@@ -202,8 +199,7 @@ def _dispatch(args) -> int:
                 _emit({"m": args.m, "n": args.n, "q": args.q, "count": count})
             return 0
         if args.classes_command == "count-poly":
-            cp = count_poly(args.m, args.n, budget=args.budget,
-                            threads=args.threads)
+            cp = count_poly(args.m, args.n, budget=args.budget)
             _emit({"m": args.m, "n": args.n, "coeffs": list(cp)})
             return 0
         field = ff_order(args.q)

@@ -4,31 +4,33 @@ A class of the block group is located by a pair of Jordan forms (the Levi
 representative) together with one orbit representative of the per-eigenvalue
 matrix problem for every shared generalized eigenvalue; the assembled
 witness is [[A, V], [0, B]] with V the sum of the lifted blocks.  Counting
-sums, over Levi pairs, the product of per-eigenvalue orbit counts; orbit
-counts of finite-type shapes are memoized by shape alone, which is sound by
-field independence (checked in the tests rather than assumed silently).
-Class counts as functions of the field size are recovered exactly by
-rational Lagrange interpolation on prime-power sample points.
+never enumerates Levi pairs: the number of orbits at an eigenvalue depends
+only on its pair of partitions and its degree, so classes are counted by
+type, as the coefficient of x^m y^n in a product of one power series per
+degree raised to the number of irreducibles of that degree.  Orbit counts of
+finite-type shapes are memoized by shape alone, which is sound by field
+independence (checked in the tests rather than assumed silently), and with
+the number of irreducibles written as a polynomial in q the same sum gives
+the class count as an exact polynomial in the field size.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from . import gf
-from .gf import FiniteField, Poly, ff, ff_order
+from .gf import FiniteField, Poly, ff
 from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
                      factor_offsets, gjnf_from_json, gjnf_to_json)
 from .matrices import Mat, block
 from .cocentralizer import (cocent_from_json, cocent_to_json, lift,
                             reduce_levi_pair)
 from .matrix_problem import DEFAULT_BUDGET, enumerate_orbits, type_classify
-from .partitions import check_partition
+from .partitions import check_partition, partitions
 
 _finite_shape_counts: dict = {}
 
@@ -56,32 +58,65 @@ def levi_reps(m: int, n: int, field: FiniteField) -> Iterator[tuple]:
             yield ga, gb
 
 
+def _series_mul(f: dict, g: dict, m: int, n: int) -> dict:
+    """Product of two series {(i, j): coefficient of x^i y^j} up to x^m y^n."""
+    out: dict = {}
+    for (a, b), c in f.items():
+        for (a2, b2), c2 in g.items():
+            if a + a2 <= m and b + b2 <= n:
+                out[a + a2, b + b2] = out.get((a + a2, b + b2), 0) + c * c2
+    return out
+
+
+def _count_by_type(m: int, n: int, eigen_count, weight):
+    """Coefficient of x^m y^n in the product over degrees d of
+    F_d(x^d, y^d) ** eigen_count(d), where F_d sums weight(mu, nu, d)
+    x^|mu| y^|nu| over pairs of partitions, with weight 1 when mu or nu
+    is empty.
+
+    A class is a choice of partitions (mu_p, nu_p) for every monic
+    irreducible p != t (its Jordan blocks in the two Levi factors) and one
+    corner orbit for every p with both non-empty; eigen_count(d) counts
+    the p of degree d.  The power is expanded as sum_k C(N, k) (F - 1)^k,
+    so eigen_count may return a polynomial in q as well as a number.
+    """
+    total = {(0, 0): 1}
+    for d in range(1, max(m, n) + 1):
+        M, N = m // d, n // d
+        g = {(a, b): sum(weight(mu, nu, d) if mu and nu else 1
+                         for mu in partitions(a) for nu in partitions(b))
+             for a in range(M + 1) for b in range(N + 1) if a or b}
+        local, power, binom, nd = {(0, 0): 1}, {(0, 0): 1}, 1, eigen_count(d)
+        for k in range(1, M + N + 1):
+            power = _series_mul(power, g, M, N)
+            binom = binom * (nd - k + 1) * Fraction(1, k)
+            for key, c in power.items():
+                local[key] = local.get(key, 0) + binom * c
+        total = _series_mul(total, {(d * a, d * b): c for (a, b), c in local.items()},
+                            m, n)
+    return total.get((m, n), 0)
+
+
+def _eigen_count(field: FiniteField):
+    """Invertible generalized eigenvalues of degree d over the field."""
+    return lambda d: gf.irreducible_count(d, field.order) - (d == 1)
+
+
 def parabolic_class_count(m: int, n: int, field: FiniteField,
-                          budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
+                          budget: int = DEFAULT_BUDGET) -> int:
     """Number of conjugacy classes of the (m, n) block group over the field."""
-    pairs = list(levi_reps(m, n, field))
-    needed = []
-    seen = set()
-    for ga, gb in pairs:
-        for pr in reduce_levi_pair(ga, gb, field):
-            key = (pr.mu, pr.nu, pr.field.order)
-            if key not in seen:
-                seen.add(key)
-                needed.append(pr)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda pr: orbit_count_cached(pr.mu, pr.nu, pr.field, budget),
-                          needed))
-    else:
-        for pr in needed:
-            orbit_count_cached(pr.mu, pr.nu, pr.field, budget)
-    total = 0
-    for ga, gb in pairs:
-        prod = 1
-        for pr in reduce_levi_pair(ga, gb, field):
-            prod *= orbit_count_cached(pr.mu, pr.nu, pr.field, budget)
-        total += prod
-    return total
+    if m < 1 or n < 1:
+        raise ValueError("block dimensions must be >= 1")
+
+    def weight(mu, nu, d):
+        # a degree-d eigenvalue's problem lives over F_{q^d}; all such
+        # fields are isomorphic, so any degree-d modulus gives the count
+        K = field
+        if type_classify(mu, nu).kind != "finite":
+            K = gf.extend(field, gf.lex_least_irreducible(field, d))
+        return orbit_count_cached(mu, nu, K, budget)
+
+    return int(_count_by_type(m, n, _eigen_count(field), weight))
 
 
 @dataclass
@@ -147,49 +182,6 @@ def class_rep_from_json(data, field: FiniteField) -> ClassRep:
 # -- class-count polynomials -------------------------------------------------
 
 
-def prime_powers() -> Iterator[int]:
-    q = 2
-    while True:
-        m = q
-        for p in range(2, q + 1):
-            if m % p == 0:
-                while m % p == 0:
-                    m //= p
-                break
-        if m == 1:
-            yield q
-        q += 1
-
-
-def _lagrange_fit(points) -> tuple:
-    """Exact interpolation through (x, y) points; coefficients low-to-high."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= Fraction(xj) * num[k + 1]
-            den *= xi - xj
-        scale = Fraction(yi) / den
-        for k, c in enumerate(num):
-            coeffs[k] += c * scale
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _eval_poly_int(coeffs, x: int):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 class CountPolynomial(tuple):
     """Integer coefficients of the class count as a polynomial in the field
     size, low-to-high."""
@@ -201,55 +193,46 @@ class CountPolynomial(tuple):
         return acc
 
 
-def count_poly(m: int, n: int, budget: int = DEFAULT_BUDGET,
-               threads: int = 1) -> CountPolynomial:
-    """Interpolate the class count of the (m, n) block group in the field
-    size q, with adaptive degree discovery and held-out validation.
+def count_poly(m: int, n: int, budget: int = DEFAULT_BUDGET) -> CountPolynomial:
+    """The class count of the (m, n) block group as a polynomial in the
+    field size q: the type sum with the number of irreducibles of degree d
+    (other than t), (1/d) sum over e | d of mobius(d/e) q^e, kept as a
+    polynomial in q.
 
-    Samples at prime powers only; the fit is accepted once two consecutive
-    fits agree and two further held-out prime powers evaluate correctly.
+    With m < 6 or n < 6 every shape is of finite type (a side of size
+    < 6), so every orbit count is a constant and the sum is exact.
     Non-integer coefficients signal an implementation bug and raise.
     """
+    from numpy.polynomial import Polynomial
     if not (m < 6 or n < 6):
         raise ValueError("count polynomial only available for m < 6 or n < 6")
-    counts: dict[int, int] = {}
+    if m < 1 or n < 1:
+        raise ValueError("block dimensions must be >= 1")
 
-    def sample(q: int) -> int:
-        if q not in counts:
-            counts[q] = parabolic_class_count(m, n, ff_order(q), budget, threads)
-        return counts[q]
+    def eigen_count(d):
+        return Polynomial([Fraction(gf.mobius(d // e), d) if e and d % e == 0 else 0
+                           for e in range(d + 1)]) - (d == 1)
 
-    qs = prime_powers()
-    pts = []
-    npts = m + n + 3  # degree guess m+n+2, so that many + 1 points
-    while len(pts) < npts:
-        q = next(qs)
-        pts.append((q, sample(q)))
-    fit = _lagrange_fit(pts)
-    while True:
-        q = next(qs)
-        pts.append((q, sample(q)))
-        fit2 = _lagrange_fit(pts)
-        if fit2 == fit:
-            h1 = next(qs)
-            h2 = next(qs)
-            if (_eval_poly_int(fit, h1) == sample(h1)
-                    and _eval_poly_int(fit, h2) == sample(h2)):
-                break
-        fit = fit2
-    if any(c.denominator != 1 for c in fit):
-        raise ArithmeticError(f"count polynomial has non-integer coefficients: {fit}")
-    return CountPolynomial(int(c) for c in fit)
+    poly = _count_by_type(m, n, eigen_count,
+                          lambda mu, nu, d: orbit_count_cached(mu, nu, ff(2), budget))
+    coeffs = list(poly.coef)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if any(Fraction(c).denominator != 1 for c in coeffs):
+        raise ArithmeticError(f"count polynomial has non-integer coefficients: {coeffs}")
+    return CountPolynomial(int(c) for c in coeffs)
 
 
 # -- general linear and affine groups ----------------------------------------
 
 
 def gl_class_count(n: int, field: FiniteField) -> int:
-    """Number of conjugacy classes of the invertible n x n group (1 for n=0)."""
+    """Number of conjugacy classes of the invertible n x n group (1 for n=0):
+    the type sum with one side empty, so a degree contributes
+    (sum over k of p(k) x^k) ** (number of eigenvalues of that degree)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum(1 for _ in enumerate_gjnf(n, field, invertible_only=True))
+    return int(_count_by_type(n, 0, _eigen_count(field), None))
 
 
 def agl_class_count(n: int, field: FiniteField) -> int:

@@ -564,6 +564,27 @@ def irreducibles(d: int, field: FiniteField, exclude_x: bool = False) -> tuple:
     return tuple(out)
 
 
+def mobius(n: int) -> int:
+    """The Möbius function: 0 unless n is squarefree, else (-1)^(prime factors)."""
+    out, r = 1, 2
+    while r * r <= n:
+        if n % r == 0:
+            n //= r
+            if n % r == 0:
+                return 0
+            out = -out
+        r += 1
+    return -out if n > 1 else out
+
+
+def irreducible_count(d: int, q: int) -> int:
+    """Number of monic irreducibles of degree d over F_q, by the necklace
+    formula (1/d) sum over e | d of mobius(d/e) q^e; t is counted."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    return sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0) // d
+
+
 # -- factorization ----------------------------------------------------------
 
 

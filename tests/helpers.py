@@ -137,3 +137,81 @@ def reference_orbits(shape):
         seen |= orbit
         orbits.append(orbit)
     return orbits
+
+
+def reference_class_count(m, n, field):
+    """Class count of P(m, n) by the Levi-pair loop: over every pair of
+    invertible Jordan forms, the product of the orbit counts of its
+    per-eigenvalue problems (the path the type-level count replaced)."""
+    from paraclasses.cocentralizer import reduce_levi_pair
+    from paraclasses.conjugacy import levi_reps, orbit_count_cached
+    total = 0
+    for ga, gb in levi_reps(m, n, field):
+        prod = 1
+        for pr in reduce_levi_pair(ga, gb, field):
+            prod *= orbit_count_cached(pr.mu, pr.nu, pr.field)
+        total += prod
+    return total
+
+
+def prime_powers():
+    """2, 3, 4, 5, 7, 8, 9, 11, ... without end."""
+    q = 2
+    while True:
+        m = q
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            yield q
+        q += 1
+
+
+def _lagrange_fit(points):
+    """Exact interpolation through (x, y) points; coefficients low-to-high."""
+    from fractions import Fraction
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            num = [Fraction(0)] + num
+            for k in range(len(num) - 1):
+                num[k] -= Fraction(xj) * num[k + 1]
+            den *= xi - xj
+        for k, c in enumerate(num):
+            coeffs[k] += c * Fraction(yi) / den
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def reference_count_poly(m, n):
+    """The class count polynomial fitted through Levi-loop counts at prime
+    powers: degree found adaptively (two consecutive fits agree), then
+    checked at two held-out prime powers."""
+    from paraclasses.conjugacy import CountPolynomial
+    from paraclasses.gf import ff_order
+    counts = {}
+
+    def sample(q):
+        if q not in counts:
+            counts[q] = reference_class_count(m, n, ff_order(q))
+        return counts[q]
+
+    qs = prime_powers()
+    pts = [(q, sample(q)) for q in itertools.islice(qs, m + n + 3)]
+    fit = _lagrange_fit(pts)
+    while True:
+        q = next(qs)
+        pts.append((q, sample(q)))
+        fit2 = _lagrange_fit(pts)
+        if fit2 == fit:
+            h1, h2, cp = next(qs), next(qs), CountPolynomial(fit)
+            if cp(h1) == sample(h1) and cp(h2) == sample(h2):
+                break
+        fit = fit2
+    assert all(c.denominator == 1 for c in fit)
+    return CountPolynomial(int(c) for c in fit)

@@ -139,3 +139,13 @@ def test_reps_budget_exit_prints_nothing(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "over F_3 needs" in err
+
+
+def test_count_poly_budget_exit_names_shape(capsys, monkeypatch):
+    from paraclasses import conjugacy
+    monkeypatch.setattr(conjugacy, "_finite_shape_counts", {})  # cold, as a CLI run
+    assert run(["classes", "count-poly", "--m", "2", "--n", "2",
+                "--budget", "8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ")x(" in err and "over F_2" in err and "budget 8" in err

@@ -2,15 +2,17 @@ import json
 
 import pytest
 
-from paraclasses.gf import ff
+from paraclasses.gf import ff, ff_order
 from paraclasses.jordan import assemble
 from paraclasses.matrices import mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
                                    class_rep_from_json, class_rep_to_json,
                                    count_poly, gl_class_count, levi_reps,
                                    orbit_count_cached, parabolic_class_count,
-                                   parabolic_class_reps, prime_powers)
+                                   parabolic_class_reps)
 from paraclasses.oracle import oracle_agl, oracle_classes
+
+from helpers import prime_powers, reference_class_count, reference_count_poly
 
 F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 
@@ -33,9 +35,11 @@ def test_parabolic_count_equals_oracle(m, n, field):
     assert parabolic_class_count(m, n, field) == oracle_classes(m, n, field).count
 
 
-def test_threads_do_not_change_the_count():
-    assert parabolic_class_count(2, 2, F3, threads=4) == \
-        parabolic_class_count(2, 2, F3, threads=1)
+@pytest.mark.parametrize("m,n,q", [(1, 2, 4), (2, 2, 3), (2, 3, 4), (2, 3, 5),
+                                   (3, 3, 3), (4, 4, 2), (2, 2, 9)])
+def test_type_count_matches_levi_loop(m, n, q):
+    assert parabolic_class_count(m, n, ff_order(q)) == \
+        reference_class_count(m, n, ff_order(q))
 
 
 def test_class_reps_for_the_smallest_group():
@@ -84,6 +88,19 @@ def test_count_poly_smallest_case():
     assert tuple(cp) == (0, -1, 1)           # q^2 - q
     assert cp(2) == 2 and cp(3) == 6
     assert len(cp) - 1 == 2 and cp[-1] == 1  # degree 2, leading coefficient 1
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
+def test_count_poly_matches_interpolated_levi_loop(m, n):
+    assert count_poly(m, n) == reference_count_poly(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 4)])
+def test_count_poly_beyond_interpolation_reach(m, n):
+    cp = count_poly(m, n)
+    assert len(cp) - 1 == m + n and cp[-1] == 1
+    for q in (2, 3):
+        assert cp(q) == reference_class_count(m, n, ff(q))
 
 
 def test_count_poly_evaluations_match_direct_counts():

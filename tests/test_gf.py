@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from paraclasses.gf import (extend, ff, ff_order, irreducibles, is_irreducible,
-                            is_prime, pdeg, pmul, pnormalize, poly_factor,
-                            poly_parse, poly_str)
+from paraclasses.gf import (extend, ff, ff_order, irreducible_count,
+                            irreducibles, is_irreducible, is_prime, pdeg, pmul,
+                            pnormalize, poly_factor, poly_parse, poly_str)
 
 
 def test_field_construction_examples():
@@ -102,6 +102,14 @@ def test_irreducibles_examples():
         == ["1,1", "2,1"]
     assert irreducibles(2, F2) == ((1, 1, 1),)
     assert len(irreducibles(2, F3)) == 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_irreducible_count_matches_enumeration(q):
+    for d in range(1, 5):
+        assert irreducible_count(d, q) == len(irreducibles(d, ff_order(q)))
+    assert irreducible_count(1, q) - 1 == \
+        len(irreducibles(1, ff_order(q), exclude_x=True))
 
 
 def test_irreducible_quadratics_counted_by_root_scan():
