@@ -115,47 +115,53 @@ def alg_add(a: AlgElement, b: AlgElement) -> AlgElement:
     return AlgElement(a.lam, f, w, a.transposed)
 
 
-def alg_neg(a: AlgElement) -> AlgElement:
-    f = a.field
-    w = [[tuple(f.neg(x) for x in wa) for wa in ra] for ra in a.windows]
-    return AlgElement(a.lam, f, w, a.transposed)
+def truncated_product(left, right, rings, field: FiniteField) -> list:
+    """Grid product of ``left`` and ``right`` with entry (i, j) truncated to
+    its first rings[i][j] coefficients.  Every grid entry is an (offset,
+    coefficients) pair holding the coefficient of x^(offset + t) at
+    position t."""
+    out = []
+    for row, row_rings in zip(left, rings):
+        out_row = []
+        for j, ring in enumerate(row_rings):
+            acc = [field.zero] * ring
+            for (oa, wa), col in zip(row, right):
+                ob, wb = col[j]
+                for e1, c1 in enumerate(wa, oa + ob):
+                    if e1 >= ring:
+                        break
+                    if c1 == field.zero:
+                        continue
+                    for e, c2 in enumerate(wb, e1):
+                        if e >= ring:
+                            break
+                        if c2 != field.zero:
+                            acc[e] = field.add(acc[e], field.mul(c1, c2))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _grid(a: AlgElement) -> list:
+    """The windows of a with their exponent offsets, for truncated_product."""
+    return [[(a.offset(i, j), w) for j, w in enumerate(row)]
+            for i, row in enumerate(a.windows)]
 
 
 def alg_mul(a: AlgElement, b: AlgElement) -> AlgElement:
     """Block-matrix product with per-entry truncation."""
     _check_pair(a, b)
     f = a.field
-    lam = a.lam
-    s = len(lam)
-    out = []
+    s = len(a.lam)
+    out = truncated_product(_grid(a), _grid(b),
+                            [[a.ring(i, j) for j in range(s)] for i in range(s)], f)
     for i in range(s):
-        row = []
         for j in range(s):
-            ring = a.ring(i, j)
-            acc = [f.zero] * ring
-            for k in range(s):
-                wa = a.windows[i][k]
-                wb = b.windows[k][j]
-                oa = a.offset(i, k)
-                ob = b.offset(k, j)
-                for t1, c1 in enumerate(wa):
-                    if c1 == f.zero:
-                        continue
-                    e1 = oa + t1
-                    if e1 >= ring:
-                        break
-                    for t2, c2 in enumerate(wb):
-                        e = e1 + ob + t2
-                        if e >= ring:
-                            break
-                        if c2 != f.zero:
-                            acc[e] = f.add(acc[e], f.mul(c1, c2))
             off = a.offset(i, j)
-            assert all(c == f.zero for c in acc[:off]), \
+            assert all(c == f.zero for c in out[i][j][:off]), \
                 "product left the algebra (divisibility constraint violated)"
-            row.append(tuple(acc[off:]))
-        out.append(row)
-    return AlgElement(lam, f, out, a.transposed)
+            out[i][j] = out[i][j][off:]
+    return AlgElement(a.lam, f, out, a.transposed)
 
 
 def _check_pair(a, b):

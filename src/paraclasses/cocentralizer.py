@@ -30,7 +30,8 @@ from typing import Iterator, Union
 from . import gf
 from .gf import FiniteField, Poly, extend
 from .matrices import Mat
-from .centralizer import AlgElement, Generator, d_twist, _mult_matrix
+from .centralizer import (AlgElement, Generator, _grid, _mult_matrix, d_twist,
+                          truncated_product)
 from .partitions import check_partition
 
 
@@ -125,37 +126,18 @@ def _as_alg(g: Union[Generator, AlgElement]) -> AlgElement:
     return g.realized if isinstance(g, Generator) else g
 
 
+def _at_zero(v: CocentElement) -> list:
+    """The entries of v as (offset 0, coefficients) pairs."""
+    return [[(0, e) for e in row] for row in v.entries]
+
+
 def act_left(g: Union[Generator, AlgElement], v: CocentElement) -> CocentElement:
     """Left multiplication by an element of the mu-side centralizer."""
     g = _as_alg(g)
     sh = v.shape
     if g.lam != sh.mu or g.field is not sh.field or g.transposed:
         raise ValueError("left action needs a straight-shape element over mu")
-    f = sh.field
-    s, t = len(sh.mu), len(sh.nu)
-    out = []
-    for i in range(s):
-        row = []
-        for j in range(t):
-            lim = sh.l[i][j]
-            acc = [f.zero] * lim
-            for k in range(s):
-                off = g.offset(i, k)
-                for t1, c1 in enumerate(g.windows[i][k]):
-                    e1 = off + t1
-                    if e1 >= lim:
-                        break
-                    if c1 == f.zero:
-                        continue
-                    for t2, c2 in enumerate(v.entries[k][j]):
-                        e = e1 + t2
-                        if e >= lim:
-                            break
-                        if c2 != f.zero:
-                            acc[e] = f.add(acc[e], f.mul(c1, c2))
-            row.append(tuple(acc))
-        out.append(tuple(row))
-    return CocentElement(sh, out)
+    return CocentElement(sh, truncated_product(_grid(g), _at_zero(v), sh.l, sh.field))
 
 
 def act_right(v: CocentElement, g: Union[Generator, AlgElement]) -> CocentElement:
@@ -165,31 +147,7 @@ def act_right(v: CocentElement, g: Union[Generator, AlgElement]) -> CocentElemen
     if g.lam != sh.nu or g.field is not sh.field:
         raise ValueError("right action needs an element over nu")
     w = d_twist(g) if not g.transposed else g
-    f = sh.field
-    s, t = len(sh.mu), len(sh.nu)
-    out = []
-    for i in range(s):
-        row = []
-        for j in range(t):
-            lim = sh.l[i][j]
-            acc = [f.zero] * lim
-            for k in range(t):
-                off = w.offset(k, j)
-                for t2, c2 in enumerate(w.windows[k][j]):
-                    e2 = off + t2
-                    if e2 >= lim:
-                        break
-                    if c2 == f.zero:
-                        continue
-                    for t1, c1 in enumerate(v.entries[i][k]):
-                        e = t1 + e2
-                        if e >= lim:
-                            break
-                        if c1 != f.zero:
-                            acc[e] = f.add(acc[e], f.mul(c1, c2))
-            row.append(tuple(acc))
-        out.append(tuple(row))
-    return CocentElement(sh, out)
+    return CocentElement(sh, truncated_product(_at_zero(v), _grid(w), sh.l, sh.field))
 
 
 @dataclass(frozen=True)

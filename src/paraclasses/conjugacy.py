@@ -3,15 +3,19 @@
 A class of the block group is located by a pair of Jordan forms (the Levi
 representative) together with one orbit representative of the per-eigenvalue
 matrix problem for every shared generalized eigenvalue; the assembled
-witness is [[A, V], [0, B]] with V the sum of the lifted blocks.  Counting
-never enumerates Levi pairs: the number of orbits at an eigenvalue depends
-only on its pair of partitions and its degree, so classes are counted by
-type, as the coefficient of x^m y^n in a product of one power series per
-degree raised to the number of irreducibles of that degree.  Orbit counts of
-finite-type shapes are memoized by shape alone, which is sound by field
-independence (checked in the tests rather than assumed silently), and with
-the number of irreducibles written as a polynomial in q the same sum gives
-the class count as an exact polynomial in the field size.
+witness is [[A, V], [0, B]] with V the sum of the lifted blocks.
+Representatives reuse each form's assembled Jordan matrix and factor
+offsets across its Levi pairs, and lift each orbit representative once per
+Levi pair.  Counting never enumerates Levi pairs: the number of orbits at
+an eigenvalue depends only on its pair of partitions and its degree, so
+classes are counted by type, as the coefficient of x^m y^n in a product of
+one power series per degree raised to the number of irreducibles of that
+degree.  Orbit counts come from the one orbit memo of `enumerate_orbits`,
+keyed by shape and field; finite-type shapes are solved over F_2, which is
+sound by field independence (checked in the tests rather than assumed
+silently), and with the number of irreducibles written as a polynomial in
+q the same sum gives the class count as an exact polynomial in the field
+size.
 """
 
 from __future__ import annotations
@@ -26,24 +30,18 @@ from . import gf
 from .gf import FiniteField, Poly, ff
 from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
                      factor_offsets, gjnf_from_json, gjnf_to_json)
-from .matrices import Mat, block
+from .matrices import Mat, direct_sum
 from .cocentralizer import (cocent_from_json, cocent_to_json, lift,
                             reduce_levi_pair)
 from .matrix_problem import DEFAULT_BUDGET, enumerate_orbits, type_classify
-from .partitions import check_partition, partitions
-
-_finite_shape_counts: dict = {}
+from .partitions import partitions
 
 
 def orbit_count_cached(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> int:
-    """Orbit count of the (mu, nu) problem over K, memoized by shape alone
-    for finite-type shapes (their counts do not depend on the field)."""
-    mu, nu = check_partition(mu), check_partition(nu)
+    """Orbit count of the (mu, nu) problem over K, solved over F_2 for
+    finite-type shapes (their counts do not depend on the field)."""
     if type_classify(mu, nu).kind == "finite":
-        key = (mu, nu)
-        if key not in _finite_shape_counts:
-            _finite_shape_counts[key] = enumerate_orbits(mu, nu, ff(2), budget).count
-        return _finite_shape_counts[key]
+        field = ff(2)
     return enumerate_orbits(mu, nu, field, budget).count
 
 
@@ -128,29 +126,26 @@ class ClassRep:
     matrix: Mat            # [[A, V], [0, B]]
 
 
-def _assemble_class_rep(ga, gb, reps, field: FiniteField) -> Mat:
-    a = assemble(ga, field)
-    b = assemble(gb, field)
-    v = Mat.zeros(field, a.rows, b.rows)
-    ra = factor_offsets(ga, field)
-    cb = factor_offsets(gb, field)
-    for p, rep in reps:
-        lf = lift(rep, p, field)
-        r0, c0 = ra[p], cb[p]
-        v.a[r0:r0 + lf.rows, c0:c0 + lf.cols] = lf.a
-    return block([[a, v], [Mat.zeros(field, b.rows, a.cols), b]])
-
-
 def parabolic_class_reps(m: int, n: int, field: FiniteField,
                          budget: int = DEFAULT_BUDGET) -> Iterator[ClassRep]:
     """One assembled representative per conjugacy class."""
+    forms: dict = {}  # form -> (Jordan matrix, factor offsets)
     for ga, gb in levi_reps(m, n, field):
+        for g in (ga, gb):
+            if g not in forms:
+                forms[g] = assemble(g, field), factor_offsets(g, field)
+        (a, ra), (b, cb) = forms[ga], forms[gb]
         problems = reduce_levi_pair(ga, gb, field)
-        per_block = [enumerate_orbits(pr.mu, pr.nu, pr.field, budget).reps
+        per_block = [[(pr.p, rep, lift(rep, pr.p, field))
+                      for rep in enumerate_orbits(pr.mu, pr.nu, pr.field, budget).reps]
                      for pr in problems]
+        levi = direct_sum(a, b)
         for combo in itertools.product(*per_block):
-            reps = tuple((pr.p, rep) for pr, rep in zip(problems, combo))
-            yield ClassRep(ga, gb, reps, _assemble_class_rep(ga, gb, reps, field))
+            g = levi.copy()
+            for p, _, lf in combo:
+                r0, c0 = ra[p], a.cols + cb[p]
+                g.a[r0:r0 + lf.rows, c0:c0 + lf.cols] = lf.a
+            yield ClassRep(ga, gb, tuple((p, rep) for p, rep, _ in combo), g)
 
 
 def class_rep_to_json(rep: ClassRep, field: FiniteField) -> dict:

@@ -175,9 +175,6 @@ class FiniteField:
             return int(self._tables["inv"][a])
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
@@ -486,13 +483,6 @@ def pderiv(f: Poly, field: FiniteField) -> Poly:
             s = field.add(s, c)
         out.append(s)
     return pnormalize(out)
-
-
-def peval(f: Poly, x: int, field: FiniteField) -> int:
-    acc = field.zero
-    for c in reversed(f):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def poly_str(f: Poly, field: FiniteField) -> str:

@@ -101,9 +101,6 @@ class Mat:
     def scale(self, c: int) -> "Mat":
         return Mat(self.field, self._t()["mul"][c, self.a])
 
-    def transpose(self) -> "Mat":
-        return Mat(self.field, self.a.T)
-
     def _check(self, other, mul=False):
         if self.field is not other.field:
             raise ValueError("matrices over different fields")

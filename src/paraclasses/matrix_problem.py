@@ -3,7 +3,11 @@
 `enumerate_orbits` sweeps the whole (finite) space and partitions it under
 the combined left/right centralizer action; representatives are the
 lexicographic minimum of each orbit under the fixed element order, so the
-output is deterministic and field-uniform for finite-type shapes.
+output is deterministic and field-uniform for finite-type shapes.  This
+is the one orbit memo: each orbit set is kept by shape and field, and the
+budget is checked before the memo is read, so a smaller budget still
+refuses a space an earlier call swept.  Counting asks it for finite-type
+shapes over F_2 only, since their counts do not depend on the field.
 `reduce_structured` implements the textual greedy pivot reductions for
 row shapes (r) and (r, 1, ..., 1); the other finite-type families go
 through the generic sweep.  `type_classify` applies the proved finiteness
@@ -27,6 +31,7 @@ from .partitions import check_partition
 DEFAULT_BUDGET = 1 << 22
 
 _packed_cache: dict = {}
+_orbit_cache: dict = {}
 
 
 def _basis_elements(shape: CocentShape):
@@ -40,7 +45,7 @@ def _basis_elements(shape: CocentShape):
 
 def packed_actions(shape: CocentShape) -> PackedActions:
     """Matrices of the reduced generator actions, packed for the kernels."""
-    key = (shape.mu, shape.nu, id(shape.field))
+    key = shape.key()
     if key in _packed_cache:
         return _packed_cache[key]
     K = shape.field
@@ -75,7 +80,7 @@ def decode(state: int, shape: CocentShape) -> CocentElement:
     return CocentElement.from_flat(shape, flat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitSet:
     shape: CocentShape
     reps: tuple          # canonical (lex-min) representatives
@@ -93,15 +98,19 @@ def _describe(shape: CocentShape) -> str:
 
 
 def enumerate_orbits(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> OrbitSet:
-    """Complete orbit partition of the space for (mu, nu) over the field."""
+    """Complete orbit partition of the space for (mu, nu) over the field,
+    memoized by shape and field once the budget admits the space."""
     shape = CocentShape(mu, nu, field)
     space = field.order ** shape.dim
     if space > budget:
         raise BudgetExceeded(space, budget, _describe(shape))
-    pa = packed_actions(shape)
-    reps, sizes = orbit_partition(pa, budget)
-    assert sum(sizes) == space
-    return OrbitSet(shape, tuple(decode(r, shape) for r in reps), tuple(sizes))
+    key = shape.key()
+    if key not in _orbit_cache:
+        reps, sizes = orbit_partition(packed_actions(shape), budget)
+        assert sum(sizes) == space
+        _orbit_cache[key] = OrbitSet(shape, tuple(decode(r, shape) for r in reps),
+                                     tuple(sizes))
+    return _orbit_cache[key]
 
 
 def orbit_count(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> int:

@@ -32,15 +32,20 @@ def _gl_elements(field: FiniteField, n: int) -> list:
     return [m for m in _all_matrices(field, n, n) if m.is_invertible()]
 
 
+def _additive_basis(field: FiniteField) -> list:
+    """Powers of a primitive element (1 over F_2) that span the field over
+    its prime field."""
+    omega = field.primitive_element()
+    return [field.pow(omega, s) for s in range(field.abs_degree)]
+
+
 def _gl_generators(field: FiniteField, n: int) -> list:
     """Transvections with parameters spanning the field additively, plus one
     primitive diagonal scaling."""
     out = []
     if n == 0:
         return out
-    omega = field.primitive_element() if field.order > 2 else field.one
-    params = [field.pow(omega, s) for s in range(field.abs_degree)] \
-        if field.order > 2 else [field.one]
+    params = _additive_basis(field)
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -51,7 +56,7 @@ def _gl_generators(field: FiniteField, n: int) -> list:
                 out.append(t)
     if field.order > 2:
         d = Mat.identity(field, n)
-        d.a[0, 0] = omega
+        d.a[0, 0] = field.primitive_element()
         out.append(d)
     return out
 
@@ -166,9 +171,7 @@ def oracle_classes(m: int, n: int, field: FiniteField,
         pv = np.array([vs.index(v @ qinv) for v in vs.mats], dtype=np.int64)
         perms.append(ia * (nv * nb) + pv[iv] * nb + pb[ib])
     # unipotent generators: v -> v + wB - Aw
-    omega = field.primitive_element() if field.order > 2 else field.one
-    params = [field.pow(omega, s) for s in range(field.abs_degree)] \
-        if field.order > 2 else [field.one]
+    params = _additive_basis(field)
     for r in range(m):
         for c in range(n):
             for coef in params:

@@ -141,9 +141,7 @@ def test_reps_budget_exit_prints_nothing(capsys):
     assert "over F_3 needs" in err
 
 
-def test_count_poly_budget_exit_names_shape(capsys, monkeypatch):
-    from paraclasses import conjugacy
-    monkeypatch.setattr(conjugacy, "_finite_shape_counts", {})  # cold, as a CLI run
+def test_count_poly_budget_exit_names_shape(capsys):
     assert run(["classes", "count-poly", "--m", "2", "--n", "2",
                 "--budget", "8"]) == 3
     out, err = capsys.readouterr()

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from paraclasses.cocentralizer import lift
+from paraclasses.errors import BudgetExceeded
 from paraclasses.gf import ff, ff_order
-from paraclasses.jordan import assemble
-from paraclasses.matrices import mat_str
+from paraclasses.jordan import assemble, factor_offsets
+from paraclasses.matrices import Mat, block, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
                                    class_rep_from_json, class_rep_to_json,
                                    count_poly, gl_class_count, levi_reps,
@@ -58,6 +60,22 @@ def test_class_rep_structure_invariants():
         assert (m.a[2:, :2] == 0).all()
 
 
+@pytest.mark.parametrize("m,n,field", [(2, 2, F3), (2, 3, F2)])
+def test_class_reps_match_per_class_assembly(m, n, field):
+    # every representative assembled from scratch: Levi blocks on the
+    # diagonal, each lifted orbit representative at its factor offsets
+    for rep in parabolic_class_reps(m, n, field):
+        a = assemble(rep.levi_a, field)
+        b = assemble(rep.levi_b, field)
+        v = Mat.zeros(field, m, n)
+        ra = factor_offsets(rep.levi_a, field)
+        cb = factor_offsets(rep.levi_b, field)
+        for p, orbit_rep in rep.blocks:
+            lf = lift(orbit_rep, p, field)
+            v.a[ra[p]:ra[p] + lf.rows, cb[p]:cb[p] + lf.cols] = lf.a
+        assert rep.matrix == block([[a, v], [Mat.zeros(field, n, m), b]])
+
+
 @pytest.mark.parametrize("m,n,field", [(1, 2, F2), (2, 2, F2), (2, 3, F2)])
 def test_class_reps_biject_with_oracle_classes(m, n, field):
     reps = list(parabolic_class_reps(m, n, field))
@@ -101,6 +119,13 @@ def test_count_poly_beyond_interpolation_reach(m, n):
     assert len(cp) - 1 == m + n and cp[-1] == 1
     for q in (2, 3):
         assert cp(q) == reference_class_count(m, n, ff(q))
+
+
+def test_count_poly_budget_holds_after_a_warm_call():
+    count_poly(2, 2)
+    with pytest.raises(BudgetExceeded) as ei:
+        count_poly(2, 2, budget=8)
+    assert str(ei.value).startswith("(1,1)x(1,1) over F_2 needs")
 
 
 def test_count_poly_evaluations_match_direct_counts():
@@ -152,7 +177,6 @@ def test_class_rep_json_roundtrip():
 
 
 def test_oracle_budget():
-    from paraclasses.errors import BudgetExceeded
     with pytest.raises(BudgetExceeded) as ei:
         oracle_classes(2, 2, F3, budget=100)
     assert str(ei.value) == "oracle P(2,2) over F_3 needs 186624 states, budget 100"

@@ -50,6 +50,14 @@ def test_budget_exceeded():
     assert ei.value.required == 3 ** 16
 
 
+def test_orbit_memo_returns_the_same_set_and_still_checks_the_budget():
+    os_ = enumerate_orbits((2, 1), (1, 1), F3)
+    assert enumerate_orbits((2, 1), (1, 1), F3) is os_
+    with pytest.raises(BudgetExceeded) as ei:
+        enumerate_orbits((2, 1), (1, 1), F3, budget=3 ** os_.shape.dim - 1)
+    assert ei.value.required == 3 ** os_.shape.dim
+
+
 def test_canonical_form_budget_is_orbit_local():
     sh = CocentShape((1, 1, 1), (1, 1, 1), F3)
     flat = [0] * sh.dim
