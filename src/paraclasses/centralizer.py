@@ -330,8 +330,8 @@ def reduced_action_generators(lam, field: FiniteField) -> list:
     lam = check_partition(lam)
     f = field
     out = []
-    omega = f.primitive_element() if f.order > 2 else f.one
-    basis = [f.pow(omega, s) for s in range(f.abs_degree)] if f.order > 2 else [f.one]
+    omega = f.primitive_element()
+    basis = [f.pow(omega, s) for s in range(f.abs_degree)]
     seen_sizes = set()
     for pos, v in enumerate(lam):
         # one copy per size class suffices: transvections conjugate the

@@ -4,8 +4,11 @@ A field is either a prime field F_p or an extension of another field by a
 monic irreducible modulus, so towers like F_4 = F_2(w) and K = F_4(u) are
 supported uniformly.  Field elements are plain integers: the index of the
 element in the field's canonical enumeration (coefficient vectors over the
-base field read low-to-high in mixed radix).  This keeps elements hashable
-and cheap, and lets hot loops swap in precomputed numpy tables.
+base field read low-to-high in mixed radix), which keeps them hashable and
+cheap.  Prime fields compute modulo p.  Extension fields of order up to
+1024 compute through dense op tables built with numpy from the base
+field's tables; larger ones through polynomial arithmetic on coefficient
+vectors modulo the modulus.
 
 Polynomials are normalized tuples of element indices, low-to-high, with the
 zero polynomial represented by the empty tuple.
@@ -14,10 +17,12 @@ zero polynomial represented by the empty tuple.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+from .errors import BudgetExceeded
 
 Poly = tuple  # tuple of element indices, low-to-high, no trailing zeros
 
@@ -58,20 +63,7 @@ class FiniteField:
             self.abs_degree = base.abs_degree * self.degree
             self.order = base.order ** self.degree
             self.modulus = modulus
-            # x^k mod modulus for k = degree .. 2*degree-2, as coefficient lists
-            red = []
-            top = [base.neg(c) for c in modulus[:-1]]
-            red.append(top)
-            for _ in range(self.degree - 2):
-                prev = red[-1]
-                nxt = [base.zero] + prev[:-1]
-                lead = prev[-1]
-                if lead != base.zero:
-                    nxt = [base.add(a, base.mul(lead, b)) for a, b in zip(nxt, top)]
-                red.append(nxt)
-            self._red = red
         self._tables = None
-        self._gen_order_cache: dict[int, int] = {}
         self._primitive = None
         self._ext_cache: dict[Poly, "FiniteField"] = {}
 
@@ -117,27 +109,16 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.base is None:
             return int(a + b) % self.p
-        B = self.base.order
-        out = 0
-        mult = 1
-        for _ in range(self.degree):
-            a, ca = divmod(a, B)
-            b, cb = divmod(b, B)
-            out += self.base.add(ca, cb) * mult
-            mult *= B
-        return out
+        if self.order > _TABLE_LIMIT:
+            return self.from_coeffs(padd(self.coeffs(a), self.coeffs(b), self.base))
+        return self._ops["add"][a][b]
 
     def neg(self, a: int) -> int:
         if self.base is None:
             return int(-a) % self.p
-        B = self.base.order
-        out = 0
-        mult = 1
-        for _ in range(self.degree):
-            a, ca = divmod(a, B)
-            out += self.base.neg(ca) * mult
-            mult *= B
-        return out
+        if self.order > _TABLE_LIMIT:
+            return self.from_coeffs(pneg(self.coeffs(a), self.base))
+        return self._ops["neg"][a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -145,35 +126,19 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if self.base is None:
             return int(a * b) % self.p
-        if self._tables is not None:
-            return int(self._tables["mul"][a, b])
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        d = self.degree
-        bf = self.base
-        conv = [bf.zero] * (2 * d - 1)
-        for i, x in enumerate(ca):
-            if x == bf.zero:
-                continue
-            for j, y in enumerate(cb):
-                conv[i + j] = bf.add(conv[i + j], bf.mul(x, y))
-        # fold exponents >= d back using the precomputed reductions
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c == bf.zero:
-                continue
-            row = self._red[k - d]
-            out = [bf.add(o, bf.mul(c, r)) for o, r in zip(out, row)]
-        return self.from_coeffs(out)
+        if self.order > _TABLE_LIMIT:
+            prod = pmul(self.coeffs(a), self.coeffs(b), self.base)
+            return self.from_coeffs(pmod(prod, self.modulus, self.base))
+        return self._ops["mul"][a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         if self.base is None:
             return pow(int(a), self.p - 2, self.p)
-        if self._tables is not None:
-            return int(self._tables["inv"][a])
-        return self.pow(a, self.order - 2)
+        if self.order > _TABLE_LIMIT:
+            return self.pow(a, self.order - 2)
+        return self._ops["inv"][a]
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -207,30 +172,51 @@ class FiniteField:
             k += 1
         return k
 
-    # -- dense op tables for kernels --------------------------------------
+    # -- dense op tables -----------------------------------------------------
 
     def tables(self) -> dict:
-        """Numpy add/mul/neg/inv tables indexed by element index."""
+        """Numpy add/mul/neg/inv tables indexed by element index.
+
+        An extension field's tables are built from its base field's: each
+        element splits into base digits, sums add digit by digit, and
+        products sum the digits of one factor times the other factor
+        multiplied by successive powers of x, folding the top digit back
+        with the modulus each time.
+        """
         if self._tables is None:
-            if self.order > _TABLE_LIMIT:
-                raise ValueError(f"field of order {self.order} too large for dense tables")
             n = self.order
-            add = np.empty((n, n), dtype=np.int32)
-            mul = np.empty((n, n), dtype=np.int32)
-            for a in range(n):
-                for b in range(a, n):
-                    s = self.add(a, b)
-                    m = self.mul(a, b)
-                    add[a, b] = add[b, a] = s
-                    mul[a, b] = mul[b, a] = m
-            neg = np.empty(n, dtype=np.int32)
-            inv = np.zeros(n, dtype=np.int32)
-            for a in range(n):
-                neg[a] = self.neg(a)
-                if a:
-                    inv[a] = self.inv(a)
+            if n > _TABLE_LIMIT:
+                raise BudgetExceeded(n, _TABLE_LIMIT, f"dense op tables of F_{n}")
+            idx = np.arange(n, dtype=np.int32)
+            if self.base is None:
+                add = (idx[:, None] + idx) % n
+                mul = (idx[:, None] * idx) % n
+                neg = -idx % n
+            else:
+                bt, B, d = self.base.tables(), self.base.order, self.degree
+                digits = [idx // B ** i % B for i in range(d)]
+                add = sum(bt["add"][c[:, None], c] * B ** i for i, c in enumerate(digits))
+                neg = sum(bt["neg"][c] * B ** i for i, c in enumerate(digits))
+                # smul[c, a] = c * a for c in the base; xa runs through a * x^j
+                smul = sum(bt["mul"][:, c] * B ** i for i, c in enumerate(digits))
+                # x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1}) modulo the modulus
+                fold = self.from_coeffs([self.base.neg(c) for c in self.modulus[:-1]])
+                top = B ** (d - 1)
+                mul, xa = np.zeros((n, n), dtype=np.int32), idx
+                for c in digits:
+                    mul = add[mul, smul[c, xa[:, None]]]
+                    xa = add[xa % top * B, smul[xa // top, fold]]
+            inv = np.argmax(mul == 1, axis=1).astype(np.int32)
             self._tables = {"add": add, "mul": mul, "neg": neg, "inv": inv}
         return self._tables
+
+    @cached_property
+    def _ops(self) -> dict:
+        """The tables as nested Python lists, whose scalar lookups are
+        several times faster than indexing numpy arrays.  Entries share
+        one int object per element."""
+        ints = np.arange(self.order).astype(object)
+        return {k: ints[t].tolist() for k, t in self.tables().items()}
 
     # -- printing / parsing -----------------------------------------------
 

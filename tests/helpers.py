@@ -1,11 +1,13 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the package's linear algebra: matrices are nested
-tuples over a prime field with arithmetic written out directly, so the
-values they produce are independent of the code under test.
+tuples over a prime field with arithmetic written out directly, and field
+arithmetic is recomputed coefficient by coefficient, so the values they
+produce are independent of the code under test.
 """
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +73,69 @@ def gl_conjugacy_classes_bruteforce(n, p):
     return cls, labels
 
 
+def reference_add(field, a, b):
+    """Sum of two field elements, base digit by base digit down the tower."""
+    if field.base is None:
+        return (a + b) % field.p
+    return field.from_coeffs([reference_add(field.base, x, y)
+                              for x, y in zip(field.coeffs(a), field.coeffs(b))])
+
+
+def reference_neg(field, a):
+    if field.base is None:
+        return -a % field.p
+    return field.from_coeffs([reference_neg(field.base, x) for x in field.coeffs(a)])
+
+
+@lru_cache(maxsize=None)
+def _fold_rows(field):
+    """x^k modulo the modulus for k = d .. 2d-2, as base coefficient lists."""
+    bf = field.base
+    top = [reference_neg(bf, c) for c in field.modulus[:-1]]
+    rows = [top]
+    for _ in range(field.degree - 2):
+        prev = rows[-1]
+        nxt = [0] + prev[:-1]
+        if prev[-1]:
+            nxt = [reference_add(bf, a, reference_mul(bf, prev[-1], b))
+                   for a, b in zip(nxt, top)]
+        rows.append(nxt)
+    return rows
+
+
+def reference_mul(field, a, b):
+    """Product of two field elements: the convolution of their coefficient
+    vectors over the base field, with exponents >= the degree folded back
+    through the rows x^k mod modulus."""
+    if field.base is None:
+        return a * b % field.p
+    bf, d = field.base, field.degree
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(field.coeffs(a)):
+        if x:
+            for j, y in enumerate(field.coeffs(b)):
+                conv[i + j] = reference_add(bf, conv[i + j], reference_mul(bf, x, y))
+    out = conv[:d]
+    for k in range(d, 2 * d - 1):
+        if conv[k]:
+            out = [reference_add(bf, o, reference_mul(bf, conv[k], r))
+                   for o, r in zip(out, _fold_rows(field)[k - d])]
+    return field.from_coeffs(out)
+
+
+def reference_tables(field):
+    """Add and mul tables of the field as nested lists, from reference_add
+    and reference_mul over the upper triangle."""
+    n = field.order
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            add[a][b] = add[b][a] = reference_add(field, a, b)
+            mul[a][b] = mul[b][a] = reference_mul(field, a, b)
+    return add, mul
+
+
 def commutator_space(A, B):
     """Columns spanning {wB - Aw} inside the flattened m x n matrix space."""
     from paraclasses.matrices import Mat
@@ -97,7 +162,7 @@ def reference_orbits(shape):
 
     Each reduced generator of either side is turned into the images of the
     basis elements under act_left/act_right, and applied by linearity with
-    field tables built here from the field's own add and mul.  Nothing of
+    the field tables of reference_tables.  Nothing of
     the packed actions or the numpy kernel is used.  Returns the orbits as
     sets of flat coefficient tuples, in the order of their least element;
     tuples compare lexicographically, as the kernel's states do.
@@ -106,8 +171,7 @@ def reference_orbits(shape):
     from paraclasses.cocentralizer import CocentElement, act_left, act_right
     K, dim = shape.field, shape.dim
     els = list(K.elements())
-    add = [[K.add(a, b) for b in els] for a in els]
-    mul = [[K.mul(a, b) for b in els] for a in els]
+    add, mul = reference_tables(K)
     basis = [CocentElement.from_flat(shape, [int(i == t) for i in range(dim)])
              for t in range(dim)]
     gens = [[act_left(g, e).flat() for e in basis]

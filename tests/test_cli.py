@@ -71,6 +71,21 @@ def test_centralizer_command(capsys):
     assert data["generator_count"] == len(data["generators"]) == 1
 
 
+def test_centralizer_above_table_limit(capsys):
+    code, out = _capture(capsys, ["centralizer", "--q", "2048", "--lambda", "2,1",
+                                  "--poly", "1,1,1"])
+    assert code == 0
+    assert json.loads(out) == {"lambda": [2, 1], "q": 2048, "poly": "1,1,1",
+                               "degree": 2, "matrix_size": 6, "dim": 10}
+
+
+def test_table_limit_exit_names_field(capsys):
+    assert run(["matprob", "orbits", "--q", "2048", "--mu", "1", "--nu", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "F_2048" in err
+
+
 def test_agl_and_oracle_commands(capsys):
     code, out = _capture(capsys, ["classes", "agl", "--n", "2", "--q", "2"])
     assert code == 0 and json.loads(out)["count"] == 5

@@ -1,10 +1,28 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paraclasses.gf import (extend, ff, ff_order, irreducible_count,
-                            irreducibles, is_irreducible, is_prime, pdeg, pmul,
+from paraclasses import gf
+from paraclasses.errors import BudgetExceeded
+from paraclasses.gf import (FiniteField, extend, ff, ff_order, irreducible_count,
+                            irreducibles, is_irreducible, is_prime,
+                            lex_least_irreducible, padd, pdeg, pdivmod, pmul,
                             pnormalize, poly_factor, poly_parse, poly_str)
+
+from helpers import reference_tables
+
+
+def _tower(p, e, d):
+    base = ff(p, e)
+    return extend(base, lex_least_irreducible(base, d))
+
+
+def _field_id(field):
+    if field.base is None or field.base.base is None:
+        return f"F{field.order}"
+    return f"F{field.order}/F{field.base.order}"
 
 
 def test_field_construction_examples():
@@ -69,6 +87,74 @@ def test_field_axioms_exhaustive(field):
                 assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
                 assert field.mul(a, field.add(b, c)) == \
                     field.add(field.mul(a, b), field.mul(a, c))
+
+
+TABLE_FIELDS = ([ff(p, e) for p in range(2, 257) if is_prime(p)
+                 for e in range(1, 9) if p ** e <= 256]
+                + [_tower(2, 2, 2), _tower(2, 2, 3), _tower(2, 3, 2), _tower(3, 2, 2)])
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=_field_id)
+def test_tables_match_per_coefficient_reference(field):
+    add, mul = reference_tables(field)
+    t = field.tables()
+    assert all(a.dtype == np.int32 for a in t.values())
+    assert t["add"].tolist() == add
+    assert t["mul"].tolist() == mul
+    assert all(add[a][t["neg"][a]] == 0 for a in field.elements())
+    assert all(mul[a][t["inv"][a]] == 1 for a in field.units())
+
+
+@pytest.mark.parametrize("base,modulus", [
+    (ff(2), ff(2, 3).modulus), (ff(3), ff(3, 2).modulus),
+    (ff(2), ff(2, 4).modulus), (ff(2, 2), lex_least_irreducible(ff(2, 2), 2))],
+    ids=["F8", "F9", "F16", "F16/F4"])
+def test_polynomial_path_matches_tables(monkeypatch, base, modulus):
+    tabled = extend(base, modulus)
+    els = list(tabled.elements())
+    expected = ([[(tabled.add(a, b), tabled.mul(a, b)) for b in els] for a in els],
+                [tabled.neg(a) for a in els], [tabled.inv(a) for a in tabled.units()])
+    monkeypatch.setattr(gf, "_TABLE_LIMIT", 1)
+    # built directly, so the field cache of ff and extend is untouched
+    field = FiniteField(base.p, base=base, modulus=modulus)
+    assert ([[(field.add(a, b), field.mul(a, b)) for b in els] for a in els],
+            [field.neg(a) for a in els],
+            [field.inv(a) for a in field.units()]) == expected
+    with pytest.raises(BudgetExceeded, match=f"F_{field.order}"):
+        field.tables()
+
+
+AXIOM_FIELDS = [ff(2, 2), ff(3, 2), ff(2, 3), ff(2, 4), ff(5, 2), ff(3, 3),
+                ff(2, 5), ff(7, 2), ff(2, 6), _tower(2, 2, 2), _tower(2, 2, 3),
+                ff(2, 11)]  # F_2048 is above the table limit
+
+
+@pytest.mark.parametrize("field", AXIOM_FIELDS, ids=_field_id)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_axioms_on_random_elements(field, data):
+    a, b, c = data.draw(st.tuples(*[st.integers(0, field.order - 1)] * 3))
+    add, mul = field.add, field.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, field.neg(a)) == field.zero
+    if a:
+        assert mul(a, field.inv(a)) == field.one
+
+
+@pytest.mark.parametrize("field", [ff(2), ff(3, 2), _tower(2, 2, 2), ff(2, 11)],
+                         ids=_field_id)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pdivmod_round_trip(field, data):
+    coeffs = st.lists(st.integers(0, field.order - 1), max_size=8)
+    f = pnormalize(data.draw(coeffs))
+    g = pnormalize(data.draw(coeffs.filter(any)))
+    q, r = pdivmod(f, g, field)
+    assert padd(pmul(q, g, field), r, field) == f
+    assert pdeg(r) < pdeg(g)
 
 
 def test_inverse_of_zero_raises():
