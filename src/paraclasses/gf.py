@@ -186,7 +186,8 @@ class FiniteField:
         if self._tables is None:
             n = self.order
             if n > _TABLE_LIMIT:
-                raise BudgetExceeded(n, _TABLE_LIMIT, f"dense op tables of F_{n}")
+                raise BudgetExceeded(n, _TABLE_LIMIT, f"dense op tables of F_{n}",
+                                     "field order {}")
             idx = np.arange(n, dtype=np.int32)
             if self.base is None:
                 add = (idx[:, None] + idx) % n

@@ -2,10 +2,10 @@
 
 States are mixed-radix integers over the field order, first coefficient
 most significant, so ascending state order is lexicographic order on
-coefficient sequences.  Every group generator acts linearly; its action is
-packed as the rows where its matrix differs from the identity, each with a
-small table of the change it makes to a state, and applied to a whole chunk
-of states at once.
+coefficient sequences.  Every group generator acts linearly; its action,
+read off the generator's windows as the rows where it is not the identity,
+is packed with a small table per row of the change it makes to a state and
+applied to a whole chunk of states at once.
 
 One expansion step serves both entry points: apply every generator to a
 chunk of the frontier, drop the images already visited, deduplicate the
@@ -28,7 +28,8 @@ def kernel_choice() -> str:
 
 
 class PackedActions:
-    """Sparse row-update form of a list of linear generator actions.
+    """Sparse row-update form of linear generator actions, each given as
+    {row: {column: coefficient}} over the rows where it is not the identity.
 
     ``gens[g]`` lists the rows that generator g changes, each as (columns,
     table): the columns are the row itself and every column it reads, and
@@ -39,7 +40,7 @@ class PackedActions:
 
     __slots__ = ("dim", "radix", "pows", "gens")
 
-    def __init__(self, dim, radix, matrices, add_table, mul_table):
+    def __init__(self, dim, radix, actions, add_table, mul_table):
         self.dim = dim
         self.radix = radix
         self.pows = radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
@@ -48,17 +49,15 @@ class PackedActions:
         self.gens = []
         seen = set()
         changes = {}  # (scalars, position of the row) -> change in the row's digit
-        for m in matrices:
-            key = tuple(tuple(row) for row in m)
+        for action in actions:
+            key = tuple((r, tuple(sorted(row.items()))) for r, row in sorted(action.items()))
             if key in seen:
                 continue
             seen.add(key)
             rows = []
-            for r in range(dim):
-                if all(m[r][c] == (1 if c == r else 0) for c in range(dim)):
-                    continue
-                cols = sorted({r} | {c for c in range(dim) if m[r][c]})
-                ck = (tuple(m[r][c] for c in cols), cols.index(r))
+            for r, row in sorted(action.items()):
+                cols = sorted({r} | set(row))
+                ck = (tuple(row.get(c, 0) for c in cols), cols.index(r))
                 if ck not in changes:
                     digits = np.indices((radix,) * len(cols)).reshape(len(cols), -1)
                     new = np.zeros(digits.shape[1], dtype=np.int64)

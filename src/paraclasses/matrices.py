@@ -110,17 +110,6 @@ class Mat:
         elif self.a.shape != other.a.shape:
             raise ValueError(f"dimension mismatch {self.a.shape} vs {other.a.shape}")
 
-    def pow(self, k: int) -> "Mat":
-        assert self.rows == self.cols and k >= 0
-        out = Mat.identity(self.field, self.rows)
-        b = self
-        while k:
-            if k & 1:
-                out = out @ b
-            b = b @ b
-            k >>= 1
-        return out
-
     # -- elimination -----------------------------------------------------------
 
     def rref(self) -> tuple["Mat", list]:
@@ -183,8 +172,6 @@ class Mat:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-    # -- block structure ------------------------------------------------------
 
 
 def direct_sum(*mats: Mat) -> Mat:

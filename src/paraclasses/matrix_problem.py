@@ -3,10 +3,11 @@
 `enumerate_orbits` sweeps the whole (finite) space and partitions it under
 the combined left/right centralizer action; representatives are the
 lexicographic minimum of each orbit under the fixed element order, so the
-output is deterministic and field-uniform for finite-type shapes.  This
-is the one orbit memo: each orbit set is kept by shape and field, and the
-budget is checked before the memo is read, so a smaller budget still
-refuses a space an earlier call swept.  Counting asks it for finite-type
+output is deterministic and field-uniform for finite-type shapes.  The
+generators' actions are packed for the kernel straight from their windows.
+The orbit sets are the only memo of the orbit layer, kept by shape and
+field; the budget is checked before the memo is read, so a smaller budget
+still refuses a space an earlier call swept.  Counting asks for finite-type
 shapes over F_2 only, since their counts do not depend on the field.
 `reduce_structured` implements the textual greedy pivot reductions for
 row shapes (r) and (r, 1, ..., 1); the other finite-type families go
@@ -22,7 +23,7 @@ from typing import Optional
 
 from . import gf
 from .gf import FiniteField
-from .centralizer import AlgElement, alg_from_entry, reduced_action_generators
+from .centralizer import AlgElement, alg_from_entry, d_twist, reduced_action_generators
 from .cocentralizer import CocentElement, CocentShape, act_left, act_right
 from .errors import BudgetExceeded
 from .kernels import PackedActions, orbit_closure, orbit_partition
@@ -30,37 +31,44 @@ from .partitions import check_partition
 
 DEFAULT_BUDGET = 1 << 22
 
-_packed_cache: dict = {}
 _orbit_cache: dict = {}
 
 
-def _basis_elements(shape: CocentShape):
-    one = shape.field.one
-    n = shape.dim
-    for t in range(n):
-        flat = [0] * n
-        flat[t] = one
-        yield CocentElement.from_flat(shape, flat)
+def _changed_rows(g: AlgElement, shape: CocentShape, left: bool) -> dict:
+    """{row: {column: coefficient}} over the flat coordinates of the shape
+    (in the order of ``shape.slots()``) where g's action is not the identity.
+
+    Entry (i, j) becomes sum_k g_ik v_kj on the left and sum_k v_ik w_kj,
+    w = d_twist(g), on the right, truncated to l_ij: its x^a coefficient
+    takes window position t of g_ik (w_kj) times the x^(a - offset - t)
+    coefficient of v_kj (v_ik)."""
+    w = g if left else d_twist(g)
+    K = shape.field
+    index = {slot: r for r, slot in enumerate(shape.slots())}
+    rows = {}
+    for (i, j, a), r in index.items():
+        row = {}
+        for k in range(len(w.lam)):
+            (wi, wj), (vi, vj) = ((i, k), (k, j)) if left else ((k, j), (i, k))
+            for t, c in enumerate(w.windows[wi][wj]):
+                b = a - w.offset(wi, wj) - t
+                if c != K.zero and 0 <= b < shape.l[vi][vj]:
+                    row[index[vi, vj, b]] = c
+        if row != {r: K.one}:
+            rows[r] = row
+    return rows
 
 
 def packed_actions(shape: CocentShape) -> PackedActions:
-    """Matrices of the reduced generator actions, packed for the kernels."""
-    key = shape.key()
-    if key in _packed_cache:
-        return _packed_cache[key]
+    """The reduced generator actions, packed for the kernels straight from
+    each generator's windows."""
     K = shape.field
-    basis = list(_basis_elements(shape))
-    mats = []
-    for g in reduced_action_generators(shape.mu, K):
-        mats.append([list(col) for col in
-                     zip(*[act_left(g, e).flat() for e in basis])])
-    for g in reduced_action_generators(shape.nu, K):
-        mats.append([list(col) for col in
-                     zip(*[act_right(e, g).flat() for e in basis])])
+    actions = [_changed_rows(g, shape, True)
+               for g in reduced_action_generators(shape.mu, K)]
+    actions += [_changed_rows(g, shape, False)
+                for g in reduced_action_generators(shape.nu, K)]
     t = K.tables()
-    pa = PackedActions(shape.dim, K.order, mats, t["add"], t["mul"])
-    _packed_cache[key] = pa
-    return pa
+    return PackedActions(shape.dim, K.order, actions, t["add"], t["mul"])
 
 
 def encode(v: CocentElement) -> int:

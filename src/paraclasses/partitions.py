@@ -33,10 +33,3 @@ def partitions(n: int) -> tuple:
 
     return tuple(sorted(gen(n, n)))
 
-
-def multiplicities(lam) -> dict:
-    """Map part size -> number of occurrences, sizes descending."""
-    out: dict[int, int] = {}
-    for x in lam:
-        out[x] = out.get(x, 0) + 1
-    return dict(sorted(out.items(), reverse=True))

@@ -203,6 +203,58 @@ def reference_orbits(shape):
     return orbits
 
 
+def reference_packed_gens(shape, add, mul):
+    """The packed generator actions of a CocentShape, built by probing.
+
+    Each reduced generator's dense matrix is assembled from the
+    act_left/act_right images of the basis elements; equal matrices are
+    kept once.  Every row that differs from the identity's becomes the
+    columns it reads (itself included) and the table of the change it makes
+    to the state, indexed by those columns' digits; add and mul are the
+    field's tables.  Returns one list of (columns, table) per generator,
+    the layout of ``PackedActions.gens``.
+    """
+    from paraclasses.centralizer import reduced_action_generators
+    from paraclasses.cocentralizer import CocentElement, act_left, act_right
+    K, dim, q = shape.field, shape.dim, shape.field.order
+    add, mul = np.asarray(add, dtype=np.int64), np.asarray(mul, dtype=np.int64)
+    basis = [CocentElement.from_flat(shape, [int(i == t) for i in range(dim)])
+             for t in range(dim)]
+    mats = [tuple(zip(*[act_left(g, e).flat() for e in basis]))
+            for g in reduced_action_generators(shape.mu, K)]
+    mats += [tuple(zip(*[act_right(e, g).flat() for e in basis]))
+             for g in reduced_action_generators(shape.nu, K)]
+    gens = []
+    for m in dict.fromkeys(mats):
+        rows = []
+        for r in range(dim):
+            if all(m[r][c] == int(c == r) for c in range(dim)):
+                continue
+            cols = sorted({r} | {c for c in range(dim) if m[r][c]})
+            digits = np.indices((q,) * len(cols)).reshape(len(cols), -1)
+            new = np.zeros(digits.shape[1], dtype=np.int64)
+            for c, d in zip(cols, digits):
+                new = add[new, mul[m[r][c], d]]
+            rows.append((cols, (new - digits[cols.index(r)]) * q ** (dim - 1 - r)))
+        if rows:
+            gens.append(rows)
+    return gens
+
+
+def aut_order(lam, q):
+    """Order of Aut(lam), the unit group of the centralizer of a nilpotent
+    of type lam over F_q: q^(sum lam'_i^2 - sum m_i^2) * prod |GL_(m_i)(q)|,
+    with lam' the conjugate partition and m_i the part multiplicities
+    (Macdonald, Symmetric Functions and Hall Polynomials, ch. II (1.6))."""
+    conj = [sum(1 for x in lam if x > i) for i in range(max(lam))]
+    mult = [lam.count(v) for v in set(lam)]
+    order = q ** (sum(c * c for c in conj) - sum(m * m for m in mult))
+    for m in mult:
+        for i in range(m):
+            order *= q ** m - q ** i
+    return order
+
+
 def reference_class_count(m, n, field):
     """Class count of P(m, n) by the Levi-pair loop: over every pair of
     invertible Jordan forms, the product of the orbit counts of its

@@ -83,7 +83,8 @@ def test_table_limit_exit_names_field(capsys):
     assert run(["matprob", "orbits", "--q", "2048", "--mu", "1", "--nu", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert "F_2048" in err
+    assert "dense op tables of F_2048 needs field order 2048, budget 1024" in err
+    assert "states" not in err
 
 
 def test_agl_and_oracle_commands(capsys):

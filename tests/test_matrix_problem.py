@@ -8,12 +8,13 @@ from paraclasses.cocentralizer import CocentElement, CocentShape, act_left, act_
 from paraclasses.errors import BudgetExceeded
 from paraclasses.matrix_problem import (canonical_form, decode, encode,
                                         enumerate_orbits, orbit_count,
-                                        reduce_structured, type_classify,
-                                        wild_invariant)
+                                        packed_actions, reduce_structured,
+                                        type_classify, wild_invariant)
+from paraclasses.partitions import partitions
 
-from helpers import reference_orbits
+from helpers import aut_order, reference_orbits, reference_packed_gens, reference_tables
 
-F2, F3, F4 = ff(2), ff(3), ff(2, 2)
+F2, F3, F4, F9 = ff(2), ff(3), ff(2, 2), ff(3, 2)
 
 
 def test_orbit_examples():
@@ -115,6 +116,31 @@ def test_kernel_matches_reference_sweep(mu, nu, field):
         least = CocentElement.from_flat(sh, min(o))
         for flat in (min(o), max(o)):
             assert canonical_form(CocentElement.from_flat(sh, flat)) == least
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F9])
+def test_packing_from_windows_matches_basis_probe(field):
+    add, mul = reference_tables(field)
+    for size in range(2, 8):
+        for a in range(1, size):
+            for mu, nu in itertools.product(partitions(a), partitions(size - a)):
+                sh = CocentShape(mu, nu, field)
+                got = [[(cols, t.tolist()) for cols, t in g] for g in packed_actions(sh).gens]
+                want = [[(cols, t.tolist()) for cols, t in g]
+                        for g in reference_packed_gens(sh, add, mul)]
+                assert got == want, (mu, nu)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_orbit_sizes_divide_the_group_order(field):
+    # orbit-stabiliser: Aut(mu) x Aut(nu) acts, so every orbit size divides its order
+    q = field.order
+    lams = [lam for size in range(1, 5) for lam in partitions(size)]
+    for mu, nu in itertools.product(lams, repeat=2):
+        if q ** CocentShape(mu, nu, field).dim > 1 << 16:
+            continue
+        group = aut_order(mu, q) * aut_order(nu, q)
+        assert all(group % s == 0 for s in enumerate_orbits(mu, nu, field).sizes), (mu, nu)
 
 
 def test_orbit_count_field_independence_small():
