@@ -84,10 +84,6 @@ def _zero_windows(lam):
     return [[(0,) * min(a, b) for b in lam] for a in lam]
 
 
-def alg_zero(lam, field: FiniteField) -> AlgElement:
-    return AlgElement(lam, field, _zero_windows(lam))
-
-
 def alg_identity(lam, field: FiniteField, transposed: bool = False) -> AlgElement:
     w = _zero_windows(lam)
     for i in range(len(lam)):
@@ -105,14 +101,6 @@ def alg_from_entry(lam, field, i, j, poly: Poly, base: Optional[AlgElement] = No
     assert gf.pdeg(poly) < lim, "parameter polynomial too long for this block"
     w[i][j] = tuple(poly) + (0,) * (lim - len(poly))
     return AlgElement(lam, field, w, el.transposed)
-
-
-def alg_add(a: AlgElement, b: AlgElement) -> AlgElement:
-    _check_pair(a, b)
-    f = a.field
-    w = [[tuple(f.add(x, y) for x, y in zip(wa, wb))
-          for wa, wb in zip(ra, rb)] for ra, rb in zip(a.windows, b.windows)]
-    return AlgElement(a.lam, f, w, a.transposed)
 
 
 def truncated_product(left, right, rings, field: FiniteField) -> list:
@@ -193,22 +181,6 @@ def d_twist(b: AlgElement) -> AlgElement:
     return AlgElement(b.lam, b.field, b.windows, not b.transposed)
 
 
-def enumerate_algebra(lam, field: FiniteField, units_only: bool = False) -> Iterator[AlgElement]:
-    lam = check_partition(lam)
-    slots = [(i, j) for i in range(len(lam)) for j in range(len(lam))]
-    lens = [min(lam[i], lam[j]) for i, j in slots]
-    for flat in itertools.product(field.elements(), repeat=sum(lens)):
-        w = _zero_windows(lam)
-        pos = 0
-        for (i, j), ln in zip(slots, lens):
-            w[i][j] = tuple(flat[pos:pos + ln])
-            pos += ln
-        el = AlgElement(lam, field, w)
-        if units_only and not alg_is_unit(el):
-            continue
-        yield el
-
-
 def centralizer_dim(lam, d: int = 1) -> int:
     """Base-field dimension of the commutant of J_lambda(C_p), deg p = d."""
     lam = check_partition(lam)
@@ -226,20 +198,6 @@ def alg_to_json(b: AlgElement) -> dict:
                      "coeffs": [f.element_str(c) for c in b.windows[i][j]]}
                     for j in range(s)] for i in range(s)],
     }
-
-
-def alg_from_json(data, field: FiniteField) -> AlgElement:
-    import json as _json
-    if isinstance(data, str):
-        data = _json.loads(data)
-    lam = tuple(data["lambda"])
-    windows = [[tuple(field.element_parse(c) for c in cell["coeffs"])
-                for cell in row] for row in data["blocks"]]
-    el = AlgElement(lam, field, windows, bool(data.get("transposed", False)))
-    for i in range(len(lam)):
-        for j in range(len(lam)):
-            assert data["blocks"][i][j]["offset"] == el.offset(i, j)
-    return el
 
 
 # -- generators of the unit group ------------------------------------------

@@ -23,7 +23,6 @@ brute-force oracle in the tests).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -219,17 +218,3 @@ def cocent_to_json(v: CocentElement) -> dict:
                      for e in row] for row in v.entries],
     }
 
-
-def cocent_from_json(data, field: FiniteField) -> CocentElement:
-    if isinstance(data, str):
-        data = json.loads(data)
-    sh = CocentShape(tuple(data["mu"]), tuple(data["nu"]), field)
-    rows = []
-    for i, row in enumerate(data["entries"]):
-        out = []
-        for j, e in enumerate(row):
-            coeffs = tuple(field.element_parse(t) for t in e.split(",")) if e else ()
-            assert len(coeffs) == sh.l[i][j], "entry length does not match the shape"
-            out.append(coeffs)
-        rows.append(tuple(out))
-    return CocentElement(sh, rows)

@@ -21,7 +21,6 @@ size.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -29,10 +28,9 @@ from typing import Iterator
 from . import gf
 from .gf import FiniteField, Poly, ff
 from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
-                     factor_offsets, gjnf_from_json, gjnf_to_json)
+                     factor_offsets, gjnf_to_json)
 from .matrices import Mat, direct_sum
-from .cocentralizer import (cocent_from_json, cocent_to_json, lift,
-                            reduce_levi_pair)
+from .cocentralizer import cocent_to_json, lift, reduce_levi_pair
 from .matrix_problem import DEFAULT_BUDGET, enumerate_orbits, type_classify
 from .partitions import partitions
 
@@ -157,21 +155,6 @@ def class_rep_to_json(rep: ClassRep, field: FiniteField) -> dict:
                    for p, v in rep.blocks],
         "matrix": mat_str(rep.matrix),
     }
-
-
-def class_rep_from_json(data, field: FiniteField) -> ClassRep:
-    from .gf import extend
-    from .matrices import mat_parse
-    if isinstance(data, str):
-        data = json.loads(data)
-    ga = gjnf_from_json(data["levi_a"], field)
-    gb = gjnf_from_json(data["levi_b"], field)
-    blocks = []
-    for b in data["blocks"]:
-        p = gf.poly_parse(b["poly"], field)
-        K = extend(field, p)
-        blocks.append((p, cocent_from_json(b["rep"], K)))
-    return ClassRep(ga, gb, tuple(blocks), mat_parse(data["matrix"], field))
 
 
 # -- class-count polynomials -------------------------------------------------

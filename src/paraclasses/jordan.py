@@ -9,12 +9,11 @@ multiplication by a root of p on the power basis.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator
 
 from . import gf
 from .gf import FiniteField, Poly
-from .matrices import Mat, char_poly, direct_sum, eval_poly_at
+from .matrices import Mat, char_poly, direct_sum, rank_sequence
 from .partitions import check_partition, partitions
 
 GJNF = tuple  # tuple of (poly, partition) pairs, canonically sorted
@@ -93,12 +92,7 @@ def gjnf(m: Mat, seed: int = 0) -> GJNF:
     out = []
     for p, mult in gf.poly_factor(cp, field, seed=seed):
         d = gf.pdeg(p)
-        pa = eval_poly_at(p, m)
-        ranks = [m.rows]
-        cur = pa
-        while ranks[-1] - cur.rank() > 0:
-            ranks.append(cur.rank())
-            cur = cur @ pa
+        ranks = rank_sequence(p, m)
         counts = [(ranks[i - 1] - ranks[i]) // d for i in range(1, len(ranks))]
         lam = []
         for size in range(len(counts), 0, -1):
@@ -109,8 +103,7 @@ def gjnf(m: Mat, seed: int = 0) -> GJNF:
     return canonical_sort(out)
 
 
-def enumerate_gjnf(n: int, field: FiniteField, invertible_only: bool = True,
-                   seed: int = 0) -> Iterator[GJNF]:
+def enumerate_gjnf(n: int, field: FiniteField, invertible_only: bool = True) -> Iterator[GJNF]:
     """Every generalized Jordan form of total dimension n, exactly once.
 
     Iterates over multisets of (irreducible, partition) pairs whose weighted
@@ -144,9 +137,3 @@ def gjnf_to_json(form: GJNF, field: FiniteField) -> list:
     return [{"poly": gf.poly_str(p, field), "partition": list(lam)}
             for p, lam in form]
 
-
-def gjnf_from_json(data, field: FiniteField) -> GJNF:
-    if isinstance(data, str):
-        data = json.loads(data)
-    return canonical_sort([(gf.poly_parse(d["poly"], field), tuple(d["partition"]))
-                           for d in data])

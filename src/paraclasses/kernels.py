@@ -10,9 +10,10 @@ applied to a whole chunk of states at once.
 One expansion step serves both entry points: apply every generator to a
 chunk of the frontier, drop the images already visited, deduplicate the
 rest by sorting, and mark them.  `orbit_partition` keeps the visited set as
-a bitset over the space and takes seeds in ascending order, so each
-representative is its orbit's minimum.  `orbit_closure` keeps the visited
-set as a sorted array, so its memory follows the one orbit it explores.
+a boolean array over the space, one byte per state, and takes seeds in
+ascending order, so each representative is its orbit's minimum.
+`orbit_closure` keeps the visited set as a sorted array, so its memory
+follows the one orbit it explores.
 """
 
 from __future__ import annotations
@@ -114,27 +115,13 @@ def _sorted_unique(a):
     return a[keep]
 
 
-_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
-
-
-def _unvisited(bits, states):
-    return bits[states >> 3] & _BIT[states & 7] == 0
-
-
-def _mark(bits, states):
-    np.bitwise_or.at(bits, states >> 3, _BIT[states & 7])
-
-
-def _next_unvisited(bits, start: int) -> int:
-    """Least state >= start (rounded down to its byte) whose bit is clear,
-    or -1; the bits past the end of the space are set."""
-    i, block = start >> 3, 512
-    while i < bits.size:
-        hit = np.flatnonzero(bits[i:i + block] != 0xFF)
+def _next_unvisited(seen, start: int) -> int:
+    """Least unvisited state >= start, or -1."""
+    i, block = start, 4096
+    while i < seen.size:
+        hit = np.flatnonzero(~seen[i:i + block])
         if hit.size:
-            byte = i + int(hit[0])
-            b = int(bits[byte])
-            return (byte << 3) + (~b & (b + 1)).bit_length() - 1
+            return i + int(hit[0])
         i += block
         block <<= 1
     return -1
@@ -149,20 +136,19 @@ def orbit_partition(pa: PackedActions, budget: int):
     space = pa.space()
     if space > budget:
         raise BudgetExceeded(space, budget)
-    bits = np.zeros((space + 7) >> 3, dtype=np.uint8)
-    _mark(bits, np.arange(space, bits.size << 3))  # padding counts as visited
+    seen = np.zeros(space, dtype=bool)
     reps, sizes = [], []
     seed = 0
-    while (seed := _next_unvisited(bits, seed)) >= 0:
+    while (seed := _next_unvisited(seen, seed)) >= 0:
         frontier = np.array([seed], dtype=np.int64)
-        _mark(bits, frontier)
+        seen[seed] = True
         size = 0
         while frontier.size:
             size += frontier.size
             fresh = []
             for cand in _expand(frontier, pa):
-                cand = _sorted_unique(cand[_unvisited(bits, cand)])
-                _mark(bits, cand)
+                cand = _sorted_unique(cand[~seen[cand]])
+                seen[cand] = True
                 fresh.append(cand)
             frontier = np.concatenate(fresh) if fresh else frontier[:0]
         reps.append(seed)

@@ -268,20 +268,18 @@ def eval_poly_at(f: Poly, m: Mat) -> Mat:
 # -- similarity ---------------------------------------------------------------
 
 
-def _rank_invariants(m: Mat, polys: list) -> tuple:
-    out = []
-    for p in polys:
-        pa = eval_poly_at(p, m)
-        cur = pa
-        ranks = [m.rows]
-        while ranks[-1] > 0:
-            r = cur.rank()
-            if r == ranks[-1]:
-                break
-            ranks.append(r)
-            cur = cur @ pa
-        out.append(tuple(ranks))
-    return tuple(out)
+def rank_sequence(p: Poly, m: Mat) -> tuple:
+    """rank p(A)^i for i = 0, 1, ... until the rank stops falling."""
+    pa = eval_poly_at(p, m)
+    cur = pa
+    ranks = [m.rows]
+    while ranks[-1] > 0:
+        r = cur.rank()
+        if r == ranks[-1]:
+            break
+        ranks.append(r)
+        cur = cur @ pa
+    return tuple(ranks)
 
 
 def conjugator(a: Mat, b: Mat, seed: int = 0,
@@ -303,7 +301,7 @@ def conjugator(a: Mat, b: Mat, seed: int = 0,
     cpa, cpb = char_poly(a), char_poly(b)
     polys = sorted({p for p, _ in gf.poly_factor(cpa, field)}
                    | {p for p, _ in gf.poly_factor(cpb, field)})
-    if _rank_invariants(a, polys) != _rank_invariants(b, polys):
+    if [rank_sequence(p, a) for p in polys] != [rank_sequence(p, b) for p in polys]:
         return None
     # linear system X A - B X = 0 in the n^2 entries of X
     nn = n * n
@@ -346,10 +344,3 @@ def conjugator(a: Mat, b: Mat, seed: int = 0,
     raise SimilarityUndetermined(
         f"no invertible conjugator found in {retries} samples (space size {q}**{d})")
 
-
-def random_invertible(field: FiniteField, n: int, rng: random.Random) -> Mat:
-    while True:
-        m = Mat(field, np.array([[rng.randrange(field.order) for _ in range(n)]
-                                 for _ in range(n)], dtype=np.int32))
-        if m.is_invertible():
-            return m

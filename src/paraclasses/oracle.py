@@ -91,7 +91,9 @@ class OracleResult:
     count: int
     labels: np.ndarray
     sizes: np.ndarray
-    _lookup: dict = dc_field(repr=False, default_factory=dict)
+    _a_idx: dict = dc_field(repr=False)
+    _vs: _VSpace = dc_field(repr=False)
+    _b_idx: dict = dc_field(repr=False)
 
     def class_of(self, g: Mat) -> int:
         """Class id of a group element given as an (m+n) x (m+n) matrix."""
@@ -100,10 +102,10 @@ class OracleResult:
             raise ValueError("element has the wrong size")
         if np.any(g.a[m:, :m] != 0):
             raise ValueError("element is not block upper-triangular")
-        a = g.a[:m, :m].tobytes()
-        v = g.a[:m, m:].tobytes()
-        b = g.a[m:, m:].tobytes()
-        return int(self.labels[self._lookup[(a, v, b)]])
+        a = self._a_idx[g.a[:m, :m].tobytes()]
+        v = self._vs.index(Mat(self.field, g.a[:m, m:]))
+        b = self._b_idx[g.a[m:, m:].tobytes()]
+        return int(self.labels[(a * self._vs.size + v) * len(self._b_idx) + b])
 
 
 def _orbit_partition_perms(size: int, perms: list):
@@ -187,14 +189,8 @@ def oracle_classes(m: int, n: int, field: FiniteField,
                              + vs.add_index[iv, sh[ia, ib]] * nb + ib)
 
     count, labels = _orbit_partition_perms(total, perms)
-    lookup = {}
-    for i, ga in enumerate(gl_m):
-        for jv, v in enumerate(vs.mats):
-            base = (i * nv + jv) * nb
-            for j, gb in enumerate(gl_n):
-                lookup[(ga.a.tobytes(), v.a.tobytes(), gb.a.tobytes())] = base + j
     sizes = np.bincount(labels, minlength=count)
-    return OracleResult(field, m, n, count, labels, sizes, lookup)
+    return OracleResult(field, m, n, count, labels, sizes, a_idx, vs, b_idx)
 
 
 def oracle_agl(n: int, field: FiniteField,

@@ -1,12 +1,15 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and test-only helpers for the test suite.
 
-These deliberately avoid the package's linear algebra: matrices are nested
-tuples over a prime field with arithmetic written out directly, and field
-arithmetic is recomputed coefficient by coefficient, so the values they
-produce are independent of the code under test.
+The oracles deliberately avoid the package's linear algebra: matrices are
+nested tuples over a prime field with arithmetic written out directly, and
+field arithmetic is recomputed coefficient by coefficient, so the values
+they produce are independent of the code under test.  The reference paths
+and the test-only constructors and JSON readers at the end build on the
+package's own types.
 """
 
 import itertools
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -331,3 +334,102 @@ def reference_count_poly(m, n):
         fit = fit2
     assert all(c.denominator == 1 for c in fit)
     return CountPolynomial(int(c) for c in fit)
+
+
+# -- test-only constructors and JSON readers (the package only writes JSON) ---
+
+
+def random_invertible(field, n, rng):
+    from paraclasses.matrices import Mat
+    while True:
+        m = Mat(field, np.array([[rng.randrange(field.order) for _ in range(n)]
+                                 for _ in range(n)], dtype=np.int32))
+        if m.is_invertible():
+            return m
+
+
+def alg_zero(lam, field):
+    from paraclasses.centralizer import AlgElement, _zero_windows
+    return AlgElement(lam, field, _zero_windows(lam))
+
+
+def alg_add(a, b):
+    from paraclasses.centralizer import AlgElement, _check_pair
+    _check_pair(a, b)
+    f = a.field
+    w = [[tuple(f.add(x, y) for x, y in zip(wa, wb))
+          for wa, wb in zip(ra, rb)] for ra, rb in zip(a.windows, b.windows)]
+    return AlgElement(a.lam, f, w, a.transposed)
+
+
+def enumerate_algebra(lam, field, units_only=False):
+    from paraclasses.centralizer import AlgElement, _zero_windows, alg_is_unit
+    from paraclasses.partitions import check_partition
+    lam = check_partition(lam)
+    slots = [(i, j) for i in range(len(lam)) for j in range(len(lam))]
+    lens = [min(lam[i], lam[j]) for i, j in slots]
+    for flat in itertools.product(field.elements(), repeat=sum(lens)):
+        w = _zero_windows(lam)
+        pos = 0
+        for (i, j), ln in zip(slots, lens):
+            w[i][j] = tuple(flat[pos:pos + ln])
+            pos += ln
+        el = AlgElement(lam, field, w)
+        if units_only and not alg_is_unit(el):
+            continue
+        yield el
+
+
+def alg_from_json(data, field):
+    from paraclasses.centralizer import AlgElement
+    if isinstance(data, str):
+        data = json.loads(data)
+    lam = tuple(data["lambda"])
+    windows = [[tuple(field.element_parse(c) for c in cell["coeffs"])
+                for cell in row] for row in data["blocks"]]
+    el = AlgElement(lam, field, windows, bool(data.get("transposed", False)))
+    for i in range(len(lam)):
+        for j in range(len(lam)):
+            assert data["blocks"][i][j]["offset"] == el.offset(i, j)
+    return el
+
+
+def gjnf_from_json(data, field):
+    from paraclasses.gf import poly_parse
+    from paraclasses.jordan import canonical_sort
+    if isinstance(data, str):
+        data = json.loads(data)
+    return canonical_sort([(poly_parse(d["poly"], field), tuple(d["partition"]))
+                           for d in data])
+
+
+def cocent_from_json(data, field):
+    from paraclasses.cocentralizer import CocentElement, CocentShape
+    if isinstance(data, str):
+        data = json.loads(data)
+    sh = CocentShape(tuple(data["mu"]), tuple(data["nu"]), field)
+    rows = []
+    for i, row in enumerate(data["entries"]):
+        out = []
+        for j, e in enumerate(row):
+            coeffs = tuple(field.element_parse(t) for t in e.split(",")) if e else ()
+            assert len(coeffs) == sh.l[i][j], "entry length does not match the shape"
+            out.append(coeffs)
+        rows.append(tuple(out))
+    return CocentElement(sh, rows)
+
+
+def class_rep_from_json(data, field):
+    from paraclasses.conjugacy import ClassRep
+    from paraclasses.gf import extend, poly_parse
+    from paraclasses.matrices import mat_parse
+    if isinstance(data, str):
+        data = json.loads(data)
+    ga = gjnf_from_json(data["levi_a"], field)
+    gb = gjnf_from_json(data["levi_b"], field)
+    blocks = []
+    for b in data["blocks"]:
+        p = poly_parse(b["poly"], field)
+        K = extend(field, p)
+        blocks.append((p, cocent_from_json(b["rep"], K)))
+    return ClassRep(ga, gb, tuple(blocks), mat_parse(data["matrix"], field))

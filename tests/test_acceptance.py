@@ -10,12 +10,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from helpers import enumerate_algebra, random_invertible
 from paraclasses.gf import extend, ff, irreducibles
 from paraclasses.jordan import assemble, gjnf
-from paraclasses.matrices import Mat, conjugator, random_invertible
+from paraclasses.matrices import Mat, conjugator
 from paraclasses.centralizer import (alg_is_unit, alg_mul, centralizer_dim,
-                                     embed, enumerate_algebra, generators,
-                                     reduced_action_generators)
+                                     embed, generators, reduced_action_generators)
 from paraclasses.cocentralizer import CocentElement, CocentShape, act_left, act_right, lift
 from paraclasses.matrix_problem import enumerate_orbits, wild_invariant
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps, count_poly,

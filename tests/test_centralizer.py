@@ -6,11 +6,10 @@ import pytest
 from paraclasses.gf import extend, ff
 from paraclasses.jordan import assemble, jordan_block
 from paraclasses.matrices import Mat
-from paraclasses.centralizer import (AlgElement, alg_add, alg_from_entry,
-                                     alg_from_json, alg_identity, alg_is_unit,
-                                     alg_mul, alg_to_json, alg_zero,
-                                     centralizer_dim, d_twist, embed,
-                                     enumerate_algebra, generators,
+from helpers import alg_add, alg_from_json, alg_zero, enumerate_algebra
+from paraclasses.centralizer import (AlgElement, alg_from_entry, alg_identity,
+                                     alg_is_unit, alg_mul, alg_to_json,
+                                     centralizer_dim, d_twist, embed, generators,
                                      reduced_action_generators)
 
 F2, F3 = ff(2), ff(3)

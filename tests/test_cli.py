@@ -30,7 +30,7 @@ def test_matprob_orbits(capsys):
     assert data["count"] == 3
     assert all(o["zero_one"] for o in data["orbits"])
     assert sum(o["size"] for o in data["orbits"]) == 4
-    from paraclasses.cocentralizer import cocent_from_json
+    from helpers import cocent_from_json
     from paraclasses.gf import ff
     for o in data["orbits"]:
         v = cocent_from_json({"mu": data["mu"], "nu": data["nu"],
@@ -98,7 +98,7 @@ def test_agl_and_oracle_commands(capsys):
 
 
 def test_reps_roundtrip_through_schema(capsys):
-    from paraclasses.conjugacy import class_rep_from_json
+    from helpers import class_rep_from_json
     from paraclasses.gf import ff
     code, out = _capture(capsys, ["classes", "parabolic", "--m", "1", "--n", "2",
                                   "--q", "2", "--reps"])

@@ -3,15 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import commutator_space, in_span
+from helpers import cocent_from_json, commutator_space, in_span
 from paraclasses.gf import extend, ff, pdeg
 from paraclasses.jordan import assemble
 from paraclasses.matrices import Mat
 from paraclasses.centralizer import (alg_from_entry, alg_identity, alg_mul,
                                      embed, reduced_action_generators)
 from paraclasses.cocentralizer import (CocentElement, CocentShape, act_left,
-                                       act_right, cocent_from_json,
-                                       cocent_to_json, lift, reduce_levi_pair)
+                                       act_right, cocent_to_json, lift,
+                                       reduce_levi_pair)
 
 F2, F3 = ff(2), ff(3)
 

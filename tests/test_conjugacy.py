@@ -8,13 +8,14 @@ from paraclasses.gf import ff, ff_order
 from paraclasses.jordan import assemble, factor_offsets
 from paraclasses.matrices import Mat, block, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
-                                   class_rep_from_json, class_rep_to_json,
-                                   count_poly, gl_class_count, levi_reps,
+                                   class_rep_to_json, count_poly,
+                                   gl_class_count, levi_reps,
                                    orbit_count_cached, parabolic_class_count,
                                    parabolic_class_reps)
 from paraclasses.oracle import oracle_agl, oracle_classes
 
-from helpers import prime_powers, reference_class_count, reference_count_poly
+from helpers import (class_rep_from_json, prime_powers, reference_class_count,
+                     reference_count_poly)
 
 F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 

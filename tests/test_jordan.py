@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from helpers import gl_conjugacy_classes_bruteforce
+from helpers import gjnf_from_json, gl_conjugacy_classes_bruteforce, random_invertible
 from paraclasses.gf import ff
 from paraclasses.jordan import (assemble, companion, enumerate_gjnf,
-                                factor_offsets, gjnf, gjnf_from_json,
-                                gjnf_to_json, jordan_block)
-from paraclasses.matrices import (Mat, conjugator, eval_poly_at, mat_parse,
-                                  random_invertible)
+                                factor_offsets, gjnf, gjnf_to_json, jordan_block)
+from paraclasses.matrices import Mat, conjugator, eval_poly_at, mat_parse
 
 F2, F3 = ff(2), ff(3)
 

@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
+from helpers import random_invertible
 from paraclasses.gf import ff, padd, pmul, pnormalize, psub
 from paraclasses.matrices import (Mat, SimilarityUndetermined, char_poly,
                                   conjugator, direct_sum, eval_poly_at,
-                                  mat_parse, mat_str, random_invertible)
+                                  mat_parse, mat_str)
 
 F2, F3 = ff(2), ff(3)
 
