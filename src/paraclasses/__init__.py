@@ -2,8 +2,8 @@
 groups over finite fields, with an independent brute-force oracle."""
 
 from .gf import FiniteField, ff, ff_order, extend, irreducibles, poly_factor
-from .matrices import Mat, char_poly, conjugator
-from .jordan import assemble, enumerate_gjnf, gjnf, jordan_block
+from .matrices import Mat, char_poly
+from .jordan import assemble, conjugator, enumerate_gjnf, gjnf, jordan_block
 from .centralizer import (AlgElement, alg_is_unit, alg_mul, centralizer_dim,
                           d_twist, embed, generators)
 from .cocentralizer import (CocentElement, CocentShape, act_left, act_right,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration budget exceeded.
-All output is deterministic for a fixed invocation and seed.
+All output is deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="paraclasses",
         description="Conjugacy classes in maximal parabolic subgroups of "
                     "general linear groups over finite fields.")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized internals (default 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gjnf", help="generalized Jordan data of a matrix")
@@ -76,9 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", action="store_true",
                    help="emit one representative per class (JSON lines)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true")
     p = cls.add_parser("count-poly", help="class count as a polynomial in q")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -130,7 +126,7 @@ def _dispatch(args) -> int:
         m = mat_parse(args.matrix, field)
         if m.rows != m.cols:
             raise ValueError("matrix must be square")
-        _emit(gjnf_to_json(gjnf(m, seed=args.seed), field))
+        _emit(gjnf_to_json(gjnf(m), field))
         return 0
 
     if args.command == "centralizer":
@@ -183,12 +179,10 @@ def _dispatch(args) -> int:
         if args.classes_command == "parabolic":
             field = ff_order(args.q)
             if args.reps:
-                # all built before any is printed: a budget exit prints none
-                reps = [class_rep_to_json(rep, field) for rep in
-                        parabolic_class_reps(args.m, args.n, field,
-                                             budget=args.budget)]
-                for rep in reps:
-                    _emit(rep)
+                # streamed: the budget is checked before the first line
+                for rep in parabolic_class_reps(args.m, args.n, field,
+                                                budget=args.budget):
+                    _emit(class_rep_to_json(rep, field))
                 return 0
             count = parabolic_class_count(args.m, args.n, field,
                                           budget=args.budget)

@@ -126,7 +126,17 @@ class ClassRep:
 
 def parabolic_class_reps(m: int, n: int, field: FiniteField,
                          budget: int = DEFAULT_BUDGET) -> Iterator[ClassRep]:
-    """One assembled representative per conjugacy class."""
+    """One assembled representative per conjugacy class.
+
+    Before the first is yielded, the budget is checked against the largest
+    space swept, (1^m)x(1^n) over the field itself, and the op tables of
+    the largest field needed, of order q^min(m, n), are built; both are
+    reached by the loop anyway.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("block dimensions must be >= 1")
+    gf.extend(field, gf.lex_least_irreducible(field, min(m, n))).tables()
+    enumerate_orbits((1,) * m, (1,) * n, field, budget)
     forms: dict = {}  # form -> (Jordan matrix, factor offsets)
     for ga, gb in levi_reps(m, n, field):
         for g in (ga, gb):

@@ -11,7 +11,10 @@ field's tables; larger ones through polynomial arithmetic on coefficient
 vectors modulo the modulus.
 
 Polynomials are normalized tuples of element indices, low-to-high, with the
-zero polynomial represented by the empty tuple.
+zero polynomial represented by the empty tuple.  Factorization runs
+distinct-degree then equal-degree (Cantor-Zassenhaus) splitting on f
+itself, repeated factors included, and counts each factor's multiplicity
+by repeated division.
 """
 
 from __future__ import annotations
@@ -461,17 +464,6 @@ def ppow_mod(f: Poly, k: int, m: Poly, field: FiniteField) -> Poly:
     return out
 
 
-def pderiv(f: Poly, field: FiniteField) -> Poly:
-    out = []
-    for i in range(1, len(f)):
-        c = f[i]
-        s = field.zero
-        for _ in range(i % field.p):
-            s = field.add(s, c)
-        out.append(s)
-    return pnormalize(out)
-
-
 def poly_str(f: Poly, field: FiniteField) -> str:
     """Textual format: coefficients low-to-high, comma-separated."""
     if not f:
@@ -565,44 +557,14 @@ def irreducible_count(d: int, q: int) -> int:
 # -- factorization ----------------------------------------------------------
 
 
-def _pth_root_poly(f: Poly, field: FiniteField) -> Poly:
-    """g with g(x)^p = f(x), for f whose exponents are all multiples of p."""
-    p = field.p
-    out = []
-    for i in range(0, len(f), p):
-        out.append(field.pth_root(f[i]))
-    return pnormalize(out)
-
-
-def _squarefree_parts(f: Poly, field: FiniteField) -> list:
-    """List of (monic squarefree factor, multiplicity), product = f."""
-    out = []
-    if pdeg(f) == 0:
-        return out
-    fp = pderiv(f, field)
-    if not fp:
-        for g, m in _squarefree_parts(_pth_root_poly(f, field), field):
-            out.append((g, m * field.p))
-        return out
-    c = pgcd(f, fp, field)
-    w = pdivmod(f, c, field)[0]
-    i = 1
-    while pdeg(w) > 0:
-        y = pgcd(w, c, field)
-        z = pdivmod(w, y, field)[0]
-        if pdeg(z) > 0:
-            out.append((z, i))
-        w = y
-        c = pdivmod(c, y, field)[0]
-        i += 1
-    if pdeg(c) > 0:
-        for g, m in _squarefree_parts(_pth_root_poly(c, field), field):
-            out.append((g, m * field.p))
-    return out
-
-
 def _distinct_degree(f: Poly, field: FiniteField) -> list:
-    """For squarefree monic f: list of (product of its degree-d irreducibles, d)."""
+    """For monic f: list of (g_d, d), g_d the product of the distinct
+    degree-d irreducibles dividing f, each taken once.
+
+    Once the factors of degree below d are divided out of g, gcd(x^(q^d) - x, g)
+    is g_d; it is divided out of g until the two are coprime, which removes
+    every power of those factors.
+    """
     out = []
     q = field.order
     x = (field.zero, field.one)
@@ -615,7 +577,10 @@ def _distinct_degree(f: Poly, field: FiniteField) -> list:
         gd = pgcd(psub(h, x, field), g, field)
         if pdeg(gd) > 0:
             out.append((gd, d))
-            g = pdivmod(g, gd, field)[0]
+            c = gd
+            while pdeg(c) > 0:
+                g = pdivmod(g, c, field)[0]
+                c = pgcd(g, c, field)
             h = pmod(h, g, field)
     if pdeg(g) > 0:
         out.append((g, pdeg(g)))
@@ -653,21 +618,24 @@ def _equal_degree_split(f: Poly, d: int, field: FiniteField, rng: random.Random)
     raise RuntimeError("equal-degree splitting exceeded its retry bound")
 
 
-def poly_factor(f: Poly, field: FiniteField, seed: int = 0) -> list:
+def poly_factor(f: Poly, field: FiniteField) -> list:
     """Monic irreducible factors with multiplicities, sorted by (degree, coeffs).
 
     The product of the factors (with multiplicity) times the leading
-    coefficient of f equals f.  Randomness in equal-degree splitting is
-    drawn from a generator seeded deterministically.
+    coefficient of f equals f.  Each multiplicity is counted by dividing
+    its factor into f until it no longer divides.  Equal-degree splitting
+    draws from a generator with a fixed seed.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(0x5EED ^ seed)
-    fm = pmonic(f, field)
+    rng = random.Random(0x5EED)
+    rest = pmonic(f, field)
     out = []
-    for g, mult in _squarefree_parts(fm, field):
-        for h, d in _distinct_degree(g, field):
-            for irr in _equal_degree_split(h, d, field, rng):
-                out.append((pmonic(irr, field), mult))
+    for g, d in _distinct_degree(rest, field):
+        for irr in _equal_degree_split(g, d, field, rng):
+            irr, mult = pmonic(irr, field), 0
+            while not (qr := pdivmod(rest, irr, field))[1]:
+                rest, mult = qr[0], mult + 1
+            out.append((irr, mult))
     out.sort(key=lambda t: (pdeg(t[0]), t[0]))
     return out

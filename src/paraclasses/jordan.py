@@ -4,12 +4,16 @@ A form is a tuple of (monic irreducible polynomial, partition) pairs sorted
 by (degree, coefficient sequence).  Jordan blocks follow the subdiagonal
 convention: the companion matrix repeats on the diagonal with identity
 blocks directly below it, and the companion matrix of p is the matrix of
-multiplication by a root of p on the power basis.
+multiplication by a root of p on the power basis.  Two matrices are
+similar exactly when their forms agree; `conjugator` then certifies it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import random
+from typing import Iterator, Optional
+
+import numpy as np
 
 from . import gf
 from .gf import FiniteField, Poly
@@ -17,6 +21,10 @@ from .matrices import Mat, char_poly, direct_sum, rank_sequence
 from .partitions import check_partition, partitions
 
 GJNF = tuple  # tuple of (poly, partition) pairs, canonically sorted
+
+
+class SimilarityUndetermined(Exception):
+    """Randomized search for an invertible conjugator hit its retry bound."""
 
 
 def companion(p: Poly, field: FiniteField) -> Mat:
@@ -79,7 +87,7 @@ def factor_offsets(form: GJNF, field: FiniteField) -> dict:
     return out
 
 
-def gjnf(m: Mat, seed: int = 0) -> GJNF:
+def gjnf(m: Mat) -> GJNF:
     """Generalized Jordan data of a square matrix from the ranks of p(A)^i.
 
     The number of parts of lambda_p that are >= i is
@@ -90,7 +98,7 @@ def gjnf(m: Mat, seed: int = 0) -> GJNF:
     field = m.field
     cp = char_poly(m)
     out = []
-    for p, mult in gf.poly_factor(cp, field, seed=seed):
+    for p, mult in gf.poly_factor(cp, field):
         d = gf.pdeg(p)
         ranks = rank_sequence(p, m)
         counts = [(ranks[i - 1] - ranks[i]) // d for i in range(1, len(ranks))]
@@ -101,6 +109,48 @@ def gjnf(m: Mat, seed: int = 0) -> GJNF:
         assert sum(lam) == mult, "rank data inconsistent with factor multiplicity"
         out.append((p, tuple(lam)))
     return canonical_sort(out)
+
+
+def conjugator(a: Mat, b: Mat, seed: int = 0, retries: int = 1000) -> Optional[Mat]:
+    """Invertible X with X A X^-1 = B, or None if A and B are not similar.
+
+    A and B are similar exactly when their generalized Jordan data agree.
+    Then the solution space of XA = BX holds an invertible element, and
+    one is drawn by seeded random sampling; exhausting the retry bound
+    without a certificate raises SimilarityUndetermined.
+    """
+    if a.rows != a.cols or a.a.shape != b.a.shape:
+        raise ValueError("conjugator needs square matrices of equal size")
+    field = a.field
+    n = a.rows
+    if n == 0:
+        return Mat.identity(field, 0)
+    if gjnf(a) != gjnf(b):
+        return None
+    # linear system X A - B X = 0 in the n^2 entries of X
+    nn = n * n
+    sys = Mat.zeros(field, nn, nn)
+    t = field.tables()
+    for i in range(n):
+        for j in range(n):
+            eq = i * n + j
+            for l in range(n):
+                sys.a[eq, i * n + l] = t["add"][sys.a[eq, i * n + l], a.a[l, j]]
+            for k in range(n):
+                sys.a[eq, k * n + j] = t["add"][sys.a[eq, k * n + j],
+                                                t["neg"][b.a[i, k]]]
+    vecs = np.hstack([v.a for v in sys.kernel_basis()])  # nn x d
+    q, d = field.order, vecs.shape[1]
+    rng = random.Random(0xC0DE ^ seed)
+    for _ in range(retries):
+        acc = np.zeros(nn, dtype=np.int32)
+        for col in vecs.T:
+            acc = t["add"][acc, t["mul"][rng.randrange(q), col]]
+        x = Mat(field, acc.reshape(n, n))
+        if x.is_invertible():
+            return x
+    raise SimilarityUndetermined(
+        f"no invertible conjugator found in {retries} samples (space size {q}**{d})")
 
 
 def enumerate_gjnf(n: int, field: FiniteField, invertible_only: bool = True) -> Iterator[GJNF]:

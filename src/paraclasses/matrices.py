@@ -8,17 +8,12 @@ dozen, systems up to a few hundred unknowns).
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from . import gf
 from .gf import FiniteField, Poly
-
-
-class SimilarityUndetermined(Exception):
-    """Randomized search for an invertible conjugator hit its retry bound."""
 
 
 class Mat:
@@ -265,7 +260,7 @@ def eval_poly_at(f: Poly, m: Mat) -> Mat:
     return out
 
 
-# -- similarity ---------------------------------------------------------------
+# -- rank sequences -----------------------------------------------------------
 
 
 def rank_sequence(p: Poly, m: Mat) -> tuple:
@@ -280,67 +275,3 @@ def rank_sequence(p: Poly, m: Mat) -> tuple:
         ranks.append(r)
         cur = cur @ pa
     return tuple(ranks)
-
-
-def conjugator(a: Mat, b: Mat, seed: int = 0,
-               exhaustive_limit: int = 1 << 20, retries: int = 1000) -> Optional[Mat]:
-    """Invertible X with X A X^-1 = B, or None if A and B are not similar.
-
-    Similarity is refuted only through rank invariants rank(p(A)^i).  When
-    they agree, the solution space of XA = BX is searched for an invertible
-    element: exhaustively while the space has at most ``exhaustive_limit``
-    members, otherwise by seeded random sampling.  Exhausting the retry
-    bound without a certificate raises SimilarityUndetermined.
-    """
-    if a.rows != a.cols or a.a.shape != b.a.shape:
-        raise ValueError("conjugator needs square matrices of equal size")
-    field = a.field
-    n = a.rows
-    if n == 0:
-        return Mat.identity(field, 0)
-    cpa, cpb = char_poly(a), char_poly(b)
-    polys = sorted({p for p, _ in gf.poly_factor(cpa, field)}
-                   | {p for p, _ in gf.poly_factor(cpb, field)})
-    if [rank_sequence(p, a) for p in polys] != [rank_sequence(p, b) for p in polys]:
-        return None
-    # linear system X A - B X = 0 in the n^2 entries of X
-    nn = n * n
-    sys = Mat.zeros(field, nn, nn)
-    t = field.tables()
-    for i in range(n):
-        for j in range(n):
-            eq = i * n + j
-            for l in range(n):
-                sys.a[eq, i * n + l] = t["add"][sys.a[eq, i * n + l], a.a[l, j]]
-            for k in range(n):
-                sys.a[eq, k * n + j] = t["add"][sys.a[eq, k * n + j],
-                                                t["neg"][b.a[i, k]]]
-    basis = sys.kernel_basis()
-    d = len(basis)
-    if d == 0:
-        return None
-    q = field.order
-    vecs = np.hstack([v.a for v in basis])  # nn x d
-
-    def candidate(coeffs) -> Mat:
-        acc = np.zeros(nn, dtype=np.int32)
-        for c, col in zip(coeffs, vecs.T):
-            if c:
-                acc = t["add"][acc, t["mul"][c, col]]
-        return Mat(field, acc.reshape(n, n))
-
-    if q ** d <= exhaustive_limit:
-        import itertools
-        for coeffs in itertools.product(range(q), repeat=d):
-            x = candidate(coeffs)
-            if x.is_invertible():
-                return x
-        return None  # no invertible solution exists: not similar
-    rng = random.Random(0xC0DE ^ seed)
-    for _ in range(retries):
-        x = candidate([rng.randrange(q) for _ in range(d)])
-        if x.is_invertible():
-            return x
-    raise SimilarityUndetermined(
-        f"no invertible conjugator found in {retries} samples (space size {q}**{d})")
-

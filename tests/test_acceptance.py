@@ -12,8 +12,8 @@ import numpy as np
 
 from helpers import enumerate_algebra, random_invertible
 from paraclasses.gf import extend, ff, irreducibles
-from paraclasses.jordan import assemble, gjnf
-from paraclasses.matrices import Mat, conjugator
+from paraclasses.jordan import assemble, conjugator, gjnf
+from paraclasses.matrices import Mat
 from paraclasses.centralizer import (alg_is_unit, alg_mul, centralizer_dim,
                                      embed, generators, reduced_action_generators)
 from paraclasses.cocentralizer import CocentElement, CocentShape, act_left, act_right, lift

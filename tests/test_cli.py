@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from paraclasses.cli import run
 
 
@@ -155,6 +157,22 @@ def test_reps_budget_exit_prints_nothing(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "over F_3 needs" in err
+
+
+def test_reps_stream_line_by_line(capsys, monkeypatch):
+    import paraclasses.cli
+    real, calls = paraclasses.cli.class_rep_to_json, []
+
+    def failing_third(rep, field):
+        calls.append(rep)
+        if len(calls) == 3:
+            raise RuntimeError("third representative")
+        return real(rep, field)
+
+    monkeypatch.setattr(paraclasses.cli, "class_rep_to_json", failing_third)
+    with pytest.raises(RuntimeError):
+        run(["classes", "parabolic", "--m", "1", "--n", "2", "--q", "2", "--reps"])
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_count_poly_budget_exit_names_shape(capsys):

@@ -256,7 +256,26 @@ def test_factor_determinism():
     F2 = ff(2)
     f = (1, 1, 0, 1, 1, 0, 1, 1)
     assert poly_factor(f, F2) == poly_factor(f, F2)
-    assert poly_factor(f, F2, seed=0) == poly_factor(f, F2, seed=99)
+
+
+@pytest.mark.parametrize("field", [ff(2), ff(3), ff(2, 2), ff(3, 2)], ids=_field_id)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_factor_recovers_prime_powers(field, data):
+    # distinct irreducibles of degree <= 3 raised to exponents up to 2p+1,
+    # p and p^2 among them, times a unit: the factors come back exactly
+    p = field.p
+    pool = [g for d in (1, 2, 3) for g in irreducibles(d, field)]
+    irrs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                              unique=True))
+    exps = st.sampled_from(sorted({*range(1, 2 * p + 2), p * p}))
+    expected = sorted(((g, data.draw(exps)) for g in irrs),
+                      key=lambda t: (pdeg(t[0]), t[0]))
+    f = (data.draw(st.integers(1, field.order - 1)),)
+    for g, e in expected:
+        for _ in range(e):
+            f = pmul(f, g, field)
+    assert poly_factor(f, field) == expected
 
 
 def test_poly_text_roundtrip():

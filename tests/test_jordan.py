@@ -4,9 +4,9 @@ import pytest
 
 from helpers import gjnf_from_json, gl_conjugacy_classes_bruteforce, random_invertible
 from paraclasses.gf import ff
-from paraclasses.jordan import (assemble, companion, enumerate_gjnf,
+from paraclasses.jordan import (assemble, companion, conjugator, enumerate_gjnf,
                                 factor_offsets, gjnf, gjnf_to_json, jordan_block)
-from paraclasses.matrices import Mat, conjugator, eval_poly_at, mat_parse
+from paraclasses.matrices import Mat, direct_sum, eval_poly_at, mat_parse
 
 F2, F3 = ff(2), ff(3)
 
@@ -68,6 +68,20 @@ def test_round_trip_with_conjugator(field):
             x = conjugator(a, b, seed=5)
             assert x is not None and x @ a @ x.inverse() == b
             assert gjnf(b) == g
+
+
+def test_conjugator_on_a_degree_two_eigenvalue():
+    # p = t^2+t+1 over F_2: one Jordan block of size 2 is not two blocks
+    # of size 1, though both have characteristic polynomial p^2
+    p = (1, 1, 1)
+    j2 = jordan_block(p, 2, F2)
+    cc = direct_sum(companion(p, F2), companion(p, F2))
+    assert conjugator(j2, cc) is None
+    g = random_invertible(F2, 4, random.Random(2))
+    b = g @ j2 @ g.inverse()
+    x = conjugator(j2, b, seed=7)
+    assert x is not None and x.is_invertible()
+    assert x @ j2 @ x.inverse() == b
 
 
 def test_rank_spectrum_recovered_on_assembled_matrix():

@@ -5,8 +5,8 @@ import pytest
 
 from helpers import random_invertible
 from paraclasses.gf import ff, padd, pmul, pnormalize, psub
-from paraclasses.matrices import (Mat, SimilarityUndetermined, char_poly,
-                                  conjugator, direct_sum, eval_poly_at,
+from paraclasses.jordan import SimilarityUndetermined, conjugator
+from paraclasses.matrices import (Mat, char_poly, direct_sum, eval_poly_at,
                                   mat_parse, mat_str)
 
 F2, F3 = ff(2), ff(3)
@@ -107,11 +107,10 @@ def test_conjugator_certificates(field):
 
 
 def test_conjugator_undetermined_is_distinct_from_not_similar():
-    # force the randomized branch with a zero retry bound: large solution
-    # space, no samples drawn
+    # a zero retry bound draws no samples
     a = Mat.identity(F3, 3)
     with pytest.raises(SimilarityUndetermined):
-        conjugator(a, a, exhaustive_limit=1, retries=0)
+        conjugator(a, a, retries=0)
 
 
 def test_eval_poly_at():
