@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation error, 3 enumeration budget exceeded.
+Exit codes: 0 success, 1 stdout closed early, 2 validation error, 3 budget exceeded.
 All output is deterministic for a fixed invocation.
 """
 
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import gf
@@ -120,9 +121,7 @@ def run(argv) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gjnf":
-        field = ff_order(args.q)
-        if args.ext > 1:
-            field = extend(field, gf.lex_least_irreducible(field, args.ext))
+        field = gf.extension(ff_order(args.q), max(args.ext, 1))
         m = mat_parse(args.matrix, field)
         if m.rows != m.cols:
             raise ValueError("matrix must be square")
@@ -219,7 +218,13 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader closed early: silence the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """The matrix-problem space attached to a pair of Jordan data sharing a
 generalized eigenvalue.
 
-For partitions mu (left, size m) and nu (right, size n) over K, the space
-is a grid of truncated polynomials: entry (i,j) lives in K[x]_{l_ij} with
-l_ij = min(mu_i, nu_j).  The centralizer unit groups of the two sides act
-on the left by plain block multiplication and on the right through the
-d_twist isomorphism; both truncate entrywise.  Orbits of the combined
-action index the conjugacy classes over the fixed Levi representative, and
-`lift` sends a grid element to the m x n corner block of the class
-representative.
+For partitions mu (left, size m) and nu (right, size n) over K, the
+F_{q^d} of every eigenvalue of degree d, the space is a grid of truncated
+polynomials: entry (i,j) lives in K[x]_{l_ij} with l_ij = min(mu_i, nu_j).
+The centralizer unit groups of the two sides act on the left by block
+multiplication and on the right through the d_twist isomorphism; both
+truncate entrywise.  Orbits of the combined action index the conjugacy
+classes over the fixed Levi representative, and `lift` sends a grid
+element to the m x n corner block of the class representative.
 
 The lift is an exact linear section of the corner-block quotient: the
 column space of a Jordan block reads x-powers upward (basis vector s maps
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from . import gf
-from .gf import FiniteField, Poly, extend
+from .gf import FiniteField, Poly
 from .matrices import Mat
 from .centralizer import (AlgElement, Generator, _grid, _mult_matrix, d_twist,
                           truncated_product)
@@ -152,39 +152,39 @@ def act_right(v: CocentElement, g: Union[Generator, AlgElement]) -> CocentElemen
 @dataclass(frozen=True)
 class EigenBlockProblem:
     """Per-eigenvalue matrix problem of a Levi pair: partitions of the shared
-    irreducible p on the two sides, over the extension K by p."""
+    irreducible p on the two sides, over the one F_{q^d} of its degree."""
     p: Poly
     mu: tuple
     nu: tuple
-    field: FiniteField  # K = base extended by p
-
-    def shape(self) -> CocentShape:
-        return CocentShape(self.mu, self.nu, self.field)
+    field: FiniteField  # gf.extension(base, deg p), shared by the degree
 
 
 def reduce_levi_pair(ga, gb, base: FiniteField) -> list:
-    """One problem per irreducible occurring in both forms; eigenvalues on
-    one side only contribute nothing (their block vanishes)."""
+    """One problem per irreducible occurring in both forms, over the F_{q^d}
+    shared by its degree; eigenvalues on one side only contribute nothing
+    (their block vanishes)."""
     da = dict(ga)
     db = dict(gb)
-    out = []
-    for p in sorted(set(da) & set(db), key=lambda f: (gf.pdeg(f), f)):
-        K = extend(base, p)
-        out.append(EigenBlockProblem(p, da[p], db[p], K))
-    return out
+    return [EigenBlockProblem(p, da[p], db[p], gf.extension(base, gf.pdeg(p)))
+            for p in sorted(set(da) & set(db), key=lambda f: (gf.pdeg(f), f))]
 
 
 def lift(v: CocentElement, p: Poly, base: FiniteField) -> Mat:
     """Corner-block representative: coefficient c of x^a in entry (i,j)
     becomes the multiplication matrix of c in the top-row cell of the
-    block's exponent-a antidiagonal (local cell (1, nu_j - a))."""
+    block's exponent-a antidiagonal (local cell (1, nu_j - a)).  Over a
+    degree-d field other than extend(base, p), every c must lie in the base
+    field (the indices < q), which an isomorphism onto extend(base, p)
+    fixes, so it keeps such an orbit minimum; there c lifts to c * I_d."""
     sh = v.shape
     d = gf.pdeg(p)
     K = sh.field
     if d == 1:
         assert K is base
     else:
-        assert K.base is base and K.modulus == tuple(p)
+        assert K.base is base and K.degree == d
+        if K.modulus != tuple(p) and any(c >= base.order for c in v.flat()):
+            raise ArithmeticError(f"{v!r} lifts at {p} only over its own field")
     mu, nu = sh.mu, sh.nu
     m, n = sum(mu) * d, sum(nu) * d
     roffs = [0]

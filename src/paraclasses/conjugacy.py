@@ -11,11 +11,11 @@ an eigenvalue depends only on its pair of partitions and its degree, so
 classes are counted by type, as the coefficient of x^m y^n in a product of
 one power series per degree raised to the number of irreducibles of that
 degree.  Orbit counts come from the one orbit memo of `enumerate_orbits`,
-keyed by shape and field; finite-type shapes are solved over F_2, which is
-sound by field independence (checked in the tests rather than assumed
-silently), and with the number of irreducibles written as a polynomial in
-q the same sum gives the class count as an exact polynomial in the field
-size.
+keyed by shape and field and shared with representatives (both solve a
+degree-d eigenvalue over `gf.extension(F_q, d)`); finite-type shapes are
+solved over F_2, sound by field independence (checked in the tests), and
+with the number of irreducibles written as a polynomial in q the same sum
+gives the class count as an exact polynomial in the field size.
 """
 
 from __future__ import annotations
@@ -105,11 +105,8 @@ def parabolic_class_count(m: int, n: int, field: FiniteField,
         raise ValueError("block dimensions must be >= 1")
 
     def weight(mu, nu, d):
-        # a degree-d eigenvalue's problem lives over F_{q^d}; all such
-        # fields are isomorphic, so any degree-d modulus gives the count
-        K = field
-        if type_classify(mu, nu).kind != "finite":
-            K = gf.extend(field, gf.lex_least_irreducible(field, d))
+        # over the F_{q^d} that representatives use, sharing its memo entries
+        K = field if type_classify(mu, nu).kind == "finite" else gf.extension(field, d)
         return orbit_count_cached(mu, nu, K, budget)
 
     return int(_count_by_type(m, n, _eigen_count(field), weight))
@@ -130,12 +127,13 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
 
     Before the first is yielded, the budget is checked against the largest
     space swept, (1^m)x(1^n) over the field itself, and the op tables of
-    the largest field needed, of order q^min(m, n), are built; both are
-    reached by the loop anyway.
+    the largest field needed, `gf.extension(field, min(m, n))`, are built;
+    the loop sweeps that space and solves every degree-min(m, n)
+    eigenvalue over that very field.
     """
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
-    gf.extend(field, gf.lex_least_irreducible(field, min(m, n))).tables()
+    gf.extension(field, min(m, n)).tables()
     enumerate_orbits((1,) * m, (1,) * n, field, budget)
     forms: dict = {}  # form -> (Jordan matrix, factor offsets)
     for ga, gb in levi_reps(m, n, field):
@@ -143,10 +141,9 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
             if g not in forms:
                 forms[g] = assemble(g, field), factor_offsets(g, field)
         (a, ra), (b, cb) = forms[ga], forms[gb]
-        problems = reduce_levi_pair(ga, gb, field)
         per_block = [[(pr.p, rep, lift(rep, pr.p, field))
                       for rep in enumerate_orbits(pr.mu, pr.nu, pr.field, budget).reps]
-                     for pr in problems]
+                     for pr in reduce_levi_pair(ga, gb, field)]
         levi = direct_sum(a, b)
         for combo in itertools.product(*per_block):
             g = levi.copy()

@@ -319,18 +319,16 @@ def ff(p: int, e: int = 1) -> FiniteField:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
-    base = _prime_field(p)
-    if e == 1:
-        return base
-    return extend(base, lex_least_irreducible(base, e))
+    return extension(_prime_field(p), e)
 
 
 @lru_cache(maxsize=None)
-def lex_least_irreducible(field: FiniteField, d: int) -> Poly:
-    for f in _monic_polys(field, d):
-        if is_irreducible(f, field):
-            return f
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+def extension(field: FiniteField, d: int) -> FiniteField:
+    """``field`` extended by its lexicographically least irreducible of
+    degree d (``field`` itself for d = 1): the one F_{q^d} over which every
+    degree-d eigenvalue's problem is solved."""
+    return extend(field, next(f for f in _monic_polys(field, d)
+                              if is_irreducible(f, field)))
 
 
 def ff_order(q: int) -> FiniteField:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paraclasses
 from paraclasses.cli import run
 
 
@@ -173,6 +178,23 @@ def test_reps_stream_line_by_line(capsys, monkeypatch):
     with pytest.raises(RuntimeError):
         run(["classes", "parabolic", "--m", "1", "--n", "2", "--q", "2", "--reps"])
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_reps_piped_into_a_reader_that_closes_early():
+    # like `paraclasses classes parabolic ... --reps | head -1`: the 480 kB
+    # of output outgrow the pipe, so writes after the close must fail quietly
+    src = str(Path(paraclasses.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from paraclasses.cli import main; main()",
+         "classes", "parabolic", "--m", "2", "--n", "2", "--q", "7", "--reps"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert "levi_a" in json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
 
 
 def test_count_poly_budget_exit_names_shape(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import cocent_from_json, commutator_space, in_span
-from paraclasses.gf import extend, ff, pdeg
+from paraclasses.gf import extend, extension, ff, irreducibles, pdeg
 from paraclasses.jordan import assemble
 from paraclasses.matrices import Mat
 from paraclasses.centralizer import (alg_from_entry, alg_identity, alg_mul,
@@ -84,6 +84,21 @@ def test_lift_places_coefficients_on_top_row_cells():
     assert lift(v, (1, 1), F2) == Mat.from_rows(F2, [[1, 0], [0, 0]])
     v = CocentElement(sh, (((1, 0),),))  # the element 1
     assert lift(v, (1, 1), F2) == Mat.from_rows(F2, [[0, 1], [0, 0]])
+
+
+def test_lift_over_the_shared_degree_field():
+    # base-field coefficients lift to c * I_d over any degree-d field, so
+    # over gf.extension they lift as over the eigenvalue's own extend(F, p)
+    K = extension(F3, 2)
+    p = next(f for f in irreducibles(2, F3) if f != K.modulus)
+    Kp = extend(F3, p)
+    for flat in [(1, 0, 2), (0, 2, 1)]:
+        v, vp = (CocentElement.from_flat(CocentShape((2,), (2, 1), L), flat)
+                 for L in (K, Kp))
+        assert lift(v, p, F3) == lift(vp, p, F3)
+    v = CocentElement.from_flat(CocentShape((2,), (2, 1), K), (1, 3, 0))  # 3 = t
+    with pytest.raises(ArithmeticError):
+        lift(v, p, F3)
 
 
 @pytest.mark.parametrize("base,p", [(F2, (1, 1)), (F2, (1, 1, 1)),

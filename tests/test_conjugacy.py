@@ -4,7 +4,7 @@ import pytest
 
 from paraclasses.cocentralizer import lift
 from paraclasses.errors import BudgetExceeded
-from paraclasses.gf import ff, ff_order
+from paraclasses.gf import extension, ff, ff_order, pdeg
 from paraclasses.jordan import assemble, factor_offsets
 from paraclasses.matrices import Mat, block, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
@@ -75,6 +75,16 @@ def test_class_reps_match_per_class_assembly(m, n, field):
             lf = lift(orbit_rep, p, field)
             v.a[ra[p]:ra[p] + lf.rows, cb[p]:cb[p] + lf.cols] = lf.a
         assert rep.matrix == block([[a, v], [Mat.zeros(field, n, m), b]])
+
+
+@pytest.mark.parametrize("m,n,field", [(2, 2, ff(5)), (3, 3, F3)])
+def test_class_reps_solve_each_degree_over_one_field(m, n, field):
+    # every degree-d eigenvalue's orbit representative lies over the same
+    # F_{q^d} that the class count uses, not over its own extend(F, p)
+    blocks = [b for rep in parabolic_class_reps(m, n, field) for b in rep.blocks]
+    assert {pdeg(p) for p, _ in blocks} == set(range(1, min(m, n) + 1))
+    for p, v in blocks:
+        assert v.shape.field is extension(field, pdeg(p)), p
 
 
 @pytest.mark.parametrize("m,n,field", [(1, 2, F2), (2, 2, F2), (2, 3, F2)])

@@ -6,17 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from paraclasses import gf
 from paraclasses.errors import BudgetExceeded
-from paraclasses.gf import (FiniteField, extend, ff, ff_order, irreducible_count,
-                            irreducibles, is_irreducible, is_prime,
-                            lex_least_irreducible, padd, pdeg, pdivmod, pmul,
-                            pnormalize, poly_factor, poly_parse, poly_str)
+from paraclasses.gf import (FiniteField, extend, extension, ff, ff_order,
+                            irreducible_count, irreducibles, is_irreducible,
+                            is_prime, padd, pdeg, pdivmod, pmul, pnormalize,
+                            poly_factor, poly_parse, poly_str)
 
 from helpers import reference_tables
 
 
 def _tower(p, e, d):
-    base = ff(p, e)
-    return extend(base, lex_least_irreducible(base, d))
+    return extension(ff(p, e), d)
 
 
 def _field_id(field):
@@ -107,7 +106,7 @@ def test_tables_match_per_coefficient_reference(field):
 
 @pytest.mark.parametrize("base,modulus", [
     (ff(2), ff(2, 3).modulus), (ff(3), ff(3, 2).modulus),
-    (ff(2), ff(2, 4).modulus), (ff(2, 2), lex_least_irreducible(ff(2, 2), 2))],
+    (ff(2), ff(2, 4).modulus), (ff(2, 2), extension(ff(2, 2), 2).modulus)],
     ids=["F8", "F9", "F16", "F16/F4"])
 def test_polynomial_path_matches_tables(monkeypatch, base, modulus):
     tabled = extend(base, modulus)

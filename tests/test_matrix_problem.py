@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from paraclasses.gf import ff
+from paraclasses.gf import extend, extension, ff, irreducibles
 from paraclasses.cocentralizer import CocentElement, CocentShape, act_left, act_right
 from paraclasses.errors import BudgetExceeded
 from paraclasses.matrix_problem import (canonical_form, decode, encode,
@@ -229,3 +229,54 @@ def test_wild_invariant_preserved_by_500_random_generator_actions():
         g = gens[rng.randrange(len(gens))]
         v = act_left(g, v) if rng.randrange(2) else act_right(v, g)
         assert wild_invariant(v) == inv
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["F2", "F3", "F4"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_shared_degree_field_gives_the_per_eigenvalue_reps(field, d):
+    # an eigenvalue p of degree d is solved over the one gf.extension(F, d);
+    # the per-eigenvalue field extend(F, p) stays here as the reference
+    shared = extension(field, d)
+    lams = [lam for size in range(1, 4) for lam in partitions(size)]
+    for mu, nu in itertools.product(lams, repeat=2):
+        if shared.order ** CocentShape(mu, nu, shared).dim > 1 << 16:
+            continue
+        orb = enumerate_orbits(mu, nu, shared)
+        want = ([r.flat() for r in orb.reps], orb.sizes)
+        assert all(c < field.order for r in orb.reps for c in r.flat()), (mu, nu)
+        for p in irreducibles(d, field):
+            ref = enumerate_orbits(mu, nu, extend(field, p))
+            assert ([r.flat() for r in ref.reps], ref.sizes) == want, (mu, nu, p)
+
+
+def test_orbit_counts_have_a_nonnegative_krull_schmidt_decomposition():
+    # an orbit is an isoclass of pairs (U in M) of nilpotent modules, U of
+    # type mu and M/U of type nu; direct sums add types and decompose
+    # uniquely, so sum c(mu, nu) X^mu Y^nu is the product over indecomposable
+    # types t of (1 - X^t)^(-a(t)), and every a(t) counts modules
+    def add(s, t):
+        return tuple(tuple(sorted(a + b, reverse=True)) for a, b in zip(s, t))
+
+    lams = [lam for size in range(5) for lam in partitions(size)]
+    types = sorted(itertools.product(lams, repeat=2), key=lambda t: sum(map(sum, t)))
+    c = {t: enumerate_orbits(*t, F2).count if all(t) else 1 for t in types}
+    product, indecomposable = {((), ()): 1}, {}
+    for t in types[1:]:
+        a = c[t] - product.get(t, 0)
+        assert a >= 0, t
+        if not a:
+            continue
+        indecomposable[t] = a
+        # multiply by (1 - X^t)^(-a) = sum over k of C(a + k - 1, k) X^(k t)
+        power, binom, terms = ((), ()), 1, dict(product)
+        for k in itertools.count(1):
+            power = add(power, t)
+            if power not in c:
+                break
+            binom = binom * (a + k - 1) // k
+            for s, v in product.items():
+                if add(s, power) in c:
+                    terms[add(s, power)] = terms.get(add(s, power), 0) + binom * v
+        product = terms
+    assert product == c
+    assert len(indecomposable) == 31
