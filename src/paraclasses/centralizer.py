@@ -283,7 +283,10 @@ def reduced_action_generators(lam, field: FiniteField) -> list:
     Unit multiplications are cut down to a primitive scalar and the
     filtration units 1 + w^s x^t; additions to the monomial parameters
     w^s x^t (the A families compose additively in the parameter).  Swaps
-    are products of these.
+    are products of these.  Additions between adjacent parts suffice: parts
+    are sorted, so along i < j < k (or i > j > k) the window offsets add, and
+    Steinberg's relation [x_ij(a), x_jk(1)] = x_ik(a) rebuilds every other
+    x_ik(w^s x^t) (Steinberg, Lectures on Chevalley Groups, 1967, §6).
     """
     lam = check_partition(lam)
     f = field
@@ -304,14 +307,11 @@ def reduced_action_generators(lam, field: FiniteField) -> list:
                 a = (f.one,) + (0,) * (t - 1) + (c,)
                 out.append(alg_from_entry(lam, f, pos, pos, a))
     for pr in range(len(lam)):
-        for pc in range(len(lam)):
-            if pr == pc:
-                continue
-            lim = min(lam[pr], lam[pc])
-            for t in range(lim):
-                for c in basis:
-                    a = (0,) * t + (c,)
-                    out.append(alg_from_entry(lam, f, pr, pc, gf.pnormalize(a)))
+        for pc in (pr - 1, pr + 1):
+            if 0 <= pc < len(lam):
+                for t in range(min(lam[pr], lam[pc])):
+                    for c in basis:
+                        out.append(alg_from_entry(lam, f, pr, pc, (0,) * t + (c,)))
     return out
 
 

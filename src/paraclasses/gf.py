@@ -154,10 +154,6 @@ class FiniteField:
             k >>= 1
         return out
 
-    def pth_root(self, a: int) -> int:
-        """The unique p-th root of a (Frobenius is bijective)."""
-        return self.pow(a, self.order // self.p)
-
     def primitive_element(self) -> int:
         """Smallest-index generator of the multiplicative group."""
         if self._primitive is None:

@@ -160,17 +160,46 @@ def in_span(S, target):
     return aug.rank() == S.rank()
 
 
+def all_pairs_action_generators(lam, field):
+    """Generators of the unit group with every addition written out: the
+    primitive scalar and the filtration units 1 + w^s x^t on one copy per
+    part size, and the additions w^s x^t between every ordered pair of
+    distinct parts, where reduced_action_generators keeps only adjacent
+    pairs and relies on commutators for the rest."""
+    from paraclasses.centralizer import alg_from_entry
+    f = field
+    out = []
+    omega = f.primitive_element()
+    basis = [f.pow(omega, s) for s in range(f.abs_degree)]
+    seen_sizes = set()
+    for pos, v in enumerate(lam):
+        if v in seen_sizes:
+            continue
+        seen_sizes.add(v)
+        if f.order > 2:
+            out.append(alg_from_entry(lam, f, pos, pos, (omega,)))
+        for t in range(1, v):
+            for c in basis:
+                a = (f.one,) + (0,) * (t - 1) + (c,)
+                out.append(alg_from_entry(lam, f, pos, pos, a))
+    for pr, pc in itertools.permutations(range(len(lam)), 2):
+        for t in range(min(lam[pr], lam[pc])):
+            for c in basis:
+                out.append(alg_from_entry(lam, f, pr, pc, (0,) * t + (c,)))
+    return out
+
+
 def reference_orbits(shape):
     """Orbits of the corner space of a CocentShape by plain Python closure.
 
-    Each reduced generator of either side is turned into the images of the
-    basis elements under act_left/act_right, and applied by linearity with
-    the field tables of reference_tables.  Nothing of
-    the packed actions or the numpy kernel is used.  Returns the orbits as
-    sets of flat coefficient tuples, in the order of their least element;
-    tuples compare lexicographically, as the kernel's states do.
+    Each generator of all_pairs_action_generators on either side is turned
+    into the images of the basis elements under act_left/act_right, and
+    applied by linearity with the field tables of reference_tables.  Nothing
+    of the packed actions, the numpy kernel or the package's reduced
+    generating set is used.  Returns the orbits as sets of flat coefficient
+    tuples, in the order of their least element; tuples compare
+    lexicographically, as the kernel's states do.
     """
-    from paraclasses.centralizer import reduced_action_generators
     from paraclasses.cocentralizer import CocentElement, act_left, act_right
     K, dim = shape.field, shape.dim
     els = list(K.elements())
@@ -178,9 +207,9 @@ def reference_orbits(shape):
     basis = [CocentElement.from_flat(shape, [int(i == t) for i in range(dim)])
              for t in range(dim)]
     gens = [[act_left(g, e).flat() for e in basis]
-            for g in reduced_action_generators(shape.mu, K)]
+            for g in all_pairs_action_generators(shape.mu, K)]
     gens += [[act_right(e, g).flat() for e in basis]
-             for g in reduced_action_generators(shape.nu, K)]
+             for g in all_pairs_action_generators(shape.nu, K)]
 
     def apply(images, v):
         out = [0] * dim

@@ -6,13 +6,14 @@ import pytest
 from paraclasses.gf import extend, ff
 from paraclasses.jordan import assemble, jordan_block
 from paraclasses.matrices import Mat
+from paraclasses.partitions import partitions
 from helpers import alg_add, alg_from_json, alg_zero, enumerate_algebra
 from paraclasses.centralizer import (AlgElement, alg_from_entry, alg_identity,
                                      alg_is_unit, alg_mul, alg_to_json,
                                      centralizer_dim, d_twist, embed, generators,
                                      reduced_action_generators)
 
-F2, F3 = ff(2), ff(3)
+F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 
 
 def mulclose(gens, limit=500000):
@@ -161,10 +162,36 @@ def test_generated_group_is_the_full_unit_group(lam, field):
 
 @pytest.mark.parametrize("lam,field", [((1, 1), F2), ((1, 1), F3),
                                        ((2, 1), F2), ((1, 1, 1), F2),
-                                       ((2, 2), F2)])
+                                       ((2, 2), F2), ((2, 1, 1), F2),
+                                       ((2, 2, 1), F2)])
 def test_reduced_generators_generate_the_same_group(lam, field):
     full = mulclose([g.realized for g in generators(lam, field)])
     assert mulclose(reduced_action_generators(lam, field)) == full
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_dropped_additions_are_commutators_of_adjacent_ones(field):
+    # x_ik(c x^t) = [x_ij(c x^t), x_jk(1)] with j the next part from i toward
+    # k, so additions between adjacent parts generate all the others
+    basis = [field.pow(field.primitive_element(), s) for s in range(field.abs_degree)]
+    one, minus_one = (field.one,), (field.neg(field.one),)
+    lams = [lam for size in range(1, 6) for lam in partitions(size)]
+    cases = 0
+    for lam in lams:
+        def x(i, j, a):
+            return alg_from_entry(lam, field, i, j, a)
+        for i, k in itertools.permutations(range(len(lam)), 2):
+            if abs(i - k) < 2:
+                continue
+            j = i + 1 if k > i else i - 1
+            for t in range(min(lam[i], lam[k])):
+                for c in basis:
+                    a, neg_a = (0,) * t + (c,), (0,) * t + (field.neg(c),)
+                    comm = alg_mul(alg_mul(x(i, j, a), x(j, k, one)),
+                                   alg_mul(x(i, j, neg_a), x(j, k, minus_one)))
+                    assert comm == x(i, k, a), (lam, i, k, t, c)
+                    cases += 1
+    assert cases == {2: 32, 3: 32, 4: 64}[field.order]
 
 
 def test_embed_examples():

@@ -132,6 +132,14 @@ def test_count_poly_beyond_interpolation_reach(m, n):
         assert cp(q) == reference_class_count(m, n, ff(q))
 
 
+def test_count_poly_is_symmetric_in_m_and_n():
+    # transpose-inverse and the antidiagonal map P(m, n) onto P(n, m); the
+    # two sides sum orbit counts of mirrored shapes, each from its own sweep
+    for m in range(1, 8):
+        for n in range(m + 1, 9 - m):
+            assert count_poly(m, n) == count_poly(n, m), (m, n)
+
+
 def test_count_poly_budget_holds_after_a_warm_call():
     count_poly(2, 2)
     with pytest.raises(BudgetExceeded) as ei:

@@ -109,7 +109,10 @@ def test_finite_type_canonical_reps_have_zero_one_entries(mu, nu, field):
                                          # 6,561 states: past the first scan block
                                          ((2, 2, 1), (2, 1), F3),
                                          # a rep 4,371 states past the one before
-                                         ((3, 2), (3, 2), F3)])
+                                         ((3, 2), (3, 2), F3),
+                                         # three parts on the right: only the
+                                         # reference adds the outer two directly
+                                         ((2, 1), (1, 1, 1), F3)])
 def test_kernel_matches_reference_sweep(mu, nu, field):
     sh = CocentShape(mu, nu, field)
     ref = reference_orbits(sh)
