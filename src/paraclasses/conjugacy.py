@@ -93,9 +93,10 @@ def _count_by_type(m: int, n: int, eigen_count, weight):
     return total.get((m, n), 0)
 
 
-def _eigen_count(field: FiniteField):
-    """Invertible generalized eigenvalues of degree d over the field."""
-    return lambda d: gf.irreducible_count(d, field.order) - (d == 1)
+def _eigen_count(q):
+    """Invertible generalized eigenvalues of degree d over F_q, for q a
+    number or a polynomial in the field size."""
+    return lambda d: gf.irreducible_count(d, q) - (d == 1)
 
 
 def parabolic_class_count(m: int, n: int, field: FiniteField,
@@ -109,7 +110,7 @@ def parabolic_class_count(m: int, n: int, field: FiniteField,
         K = field if type_classify(mu, nu).kind == "finite" else gf.extension(field, d)
         return orbit_count_cached(mu, nu, K, budget)
 
-    return int(_count_by_type(m, n, _eigen_count(field), weight))
+    return int(_count_by_type(m, n, _eigen_count(field.order), weight))
 
 
 @dataclass
@@ -180,9 +181,10 @@ class CountPolynomial(tuple):
 
 def count_poly(m: int, n: int, budget: int = DEFAULT_BUDGET) -> CountPolynomial:
     """The class count of the (m, n) block group as a polynomial in the
-    field size q: the type sum with the number of irreducibles of degree d
-    (other than t), (1/d) sum over e | d of mobius(d/e) q^e, kept as a
-    polynomial in q.
+    field size q: the type sum with the number of degree-d irreducibles
+    other than t taken from `gf.irreducible_count` at the polynomial q,
+    whose Fraction coefficients keep the necklace formula's division by d
+    exact.
 
     With m < 6 or n < 6 every shape is of finite type (a side of size
     < 6), so every orbit count is a constant and the sum is exact.
@@ -194,11 +196,7 @@ def count_poly(m: int, n: int, budget: int = DEFAULT_BUDGET) -> CountPolynomial:
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
 
-    def eigen_count(d):
-        return Polynomial([Fraction(gf.mobius(d // e), d) if e and d % e == 0 else 0
-                           for e in range(d + 1)]) - (d == 1)
-
-    poly = _count_by_type(m, n, eigen_count,
+    poly = _count_by_type(m, n, _eigen_count(Polynomial([Fraction(0), Fraction(1)])),
                           lambda mu, nu, d: orbit_count_cached(mu, nu, ff(2), budget))
     coeffs = list(poly.coef)
     while coeffs and coeffs[-1] == 0:
@@ -217,7 +215,7 @@ def gl_class_count(n: int, field: FiniteField) -> int:
     (sum over k of p(k) x^k) ** (number of eigenvalues of that degree)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return int(_count_by_type(n, 0, _eigen_count(field), None))
+    return int(_count_by_type(n, 0, _eigen_count(field.order), None))
 
 
 def agl_class_count(n: int, field: FiniteField) -> int:

@@ -11,10 +11,12 @@ field's tables; larger ones through polynomial arithmetic on coefficient
 vectors modulo the modulus.
 
 Polynomials are normalized tuples of element indices, low-to-high, with the
-zero polynomial represented by the empty tuple.  Factorization runs
-distinct-degree then equal-degree (Cantor-Zassenhaus) splitting on f
-itself, repeated factors included, and counts each factor's multiplicity
-by repeated division.
+zero polynomial represented by the empty tuple.  Irreducibility is Ben-Or's
+test.  Factorization runs distinct-degree then equal-degree
+(Cantor-Zassenhaus) splitting on f itself, repeated factors included, and
+counts each factor's multiplicity by repeated division.  One trial-division
+integer factoriser serves primality, the Möbius function, field orders and
+primitive elements.
 """
 
 from __future__ import annotations
@@ -32,15 +34,21 @@ Poly = tuple  # tuple of element indices, low-to-high, no trailing zeros
 _TABLE_LIMIT = 1024  # largest field order for which dense op tables are built
 
 
+def _prime_factors(n: int) -> dict:
+    """{p: e} with n the product of the p^e (empty for n < 2), by trial
+    division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p], n = out.get(p, 0) + 1, n // p
+        p += 1
+    if n > 1:
+        out[n] = 1  # a prime above every p found
+    return out
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == {n: 1}
 
 
 class FiniteField:
@@ -155,21 +163,13 @@ class FiniteField:
         return out
 
     def primitive_element(self) -> int:
-        """Smallest-index generator of the multiplicative group."""
+        """Smallest-index generator of the multiplicative group: the first
+        unit a with a^((q-1)/r) != 1 for every prime r dividing q - 1."""
         if self._primitive is None:
             n = self.order - 1
-            for a in self.units():
-                if self._elt_order(a) == n:
-                    self._primitive = a
-                    break
+            self._primitive = next(a for a in self.units() if all(
+                self.pow(a, n // r) != self.one for r in _prime_factors(n)))
         return self._primitive
-
-    def _elt_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.one:
-            x = self.mul(x, a)
-            k += 1
-        return k
 
     # -- dense op tables -----------------------------------------------------
 
@@ -323,6 +323,8 @@ def extension(field: FiniteField, d: int) -> FiniteField:
     """``field`` extended by its lexicographically least irreducible of
     degree d (``field`` itself for d = 1): the one F_{q^d} over which every
     degree-d eigenvalue's problem is solved."""
+    if d == 1:
+        return field
     return extend(field, next(f for f in _monic_polys(field, d)
                               if is_irreducible(f, field)))
 
@@ -331,17 +333,10 @@ def ff_order(q: int) -> FiniteField:
     """The field of order q = p^e, auto-factored."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return ff(p, e)
-    raise ValueError(f"{q} is not a prime power")
+    (p, e), *rest = _prime_factors(q).items()
+    if rest:
+        raise ValueError(f"{q} is not a prime power")
+    return ff(p, e)
 
 
 def extend(field: FiniteField, modulus: Poly) -> FiniteField:
@@ -434,9 +429,7 @@ def pmod(f: Poly, g: Poly, field: FiniteField) -> Poly:
 
 
 def pmonic(f: Poly, field: FiniteField) -> Poly:
-    if not f:
-        return f
-    if f[-1] == field.one:
+    if not f or f[-1] == field.one:
         return f
     return pscale(field.inv(f[-1]), f, field)
 
@@ -481,32 +474,15 @@ def _monic_polys(field: FiniteField, d: int) -> Iterator[Poly]:
 
 
 def is_irreducible(f: Poly, field: FiniteField) -> bool:
-    """Rabin's criterion: x^{q^d} = x mod f and gcd(x^{q^{d/r}} - x, f) = 1
-    for every prime r dividing d."""
-    d = pdeg(f)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = field.order
-    x = (field.zero, field.one)
-    r = 2
-    dd = d
-    prime_divs = []
-    while r * r <= dd:
-        if dd % r == 0:
-            prime_divs.append(r)
-            while dd % r == 0:
-                dd //= r
-        r += 1
-    if dd > 1:
-        prime_divs.append(dd)
-    for r in prime_divs:
-        h = ppow_mod(x, q ** (d // r), f, field)
+    """Ben-Or's test: f of degree n >= 1 is irreducible exactly when
+    gcd(x^(q^d) - x, f) = 1 for every d <= n/2, since a reducible f has a
+    factor of degree at most n/2, which divides x^(q^d) - x for its d."""
+    x = h = (field.zero, field.one)
+    for _ in range(pdeg(f) // 2):
+        h = ppow_mod(h, field.order, f, field)
         if pgcd(psub(h, x, field), f, field) != (field.one,):
             return False
-    h = ppow_mod(x, q ** d, f, field)
-    return psub(h, x, field) == ()
+    return pdeg(f) >= 1
 
 
 @lru_cache(maxsize=None)
@@ -518,31 +494,20 @@ def irreducibles(d: int, field: FiniteField, exclude_x: bool = False) -> tuple:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    out = []
-    for f in _monic_polys(field, d):
-        if exclude_x and f[0] == field.zero:
-            continue
-        if is_irreducible(f, field):
-            out.append(f)
-    return tuple(out)
+    return tuple(f for f in _monic_polys(field, d)
+                 if not (exclude_x and f[0] == field.zero) and is_irreducible(f, field))
 
 
 def mobius(n: int) -> int:
     """The Möbius function: 0 unless n is squarefree, else (-1)^(prime factors)."""
-    out, r = 1, 2
-    while r * r <= n:
-        if n % r == 0:
-            n //= r
-            if n % r == 0:
-                return 0
-            out = -out
-        r += 1
-    return -out if n > 1 else out
+    exps = _prime_factors(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 def irreducible_count(d: int, q: int) -> int:
     """Number of monic irreducibles of degree d over F_q, by the necklace
-    formula (1/d) sum over e | d of mobius(d/e) q^e; t is counted."""
+    formula (1/d) sum over e | d of mobius(d/e) q^e; t is counted.  q may
+    also be a polynomial with Fraction coefficients, divided exactly."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     return sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0) // d

@@ -139,6 +139,8 @@ def oracle_classes(m: int, n: int, field: FiniteField,
     and its Levi generators are dropped: that is the affine group sitting
     inside the (1, n) parabolic.
     """
+    if m < 1 or n < 1:
+        raise ValueError("block dimensions must be >= 1")
     gl_m = [Mat.identity(field, m)] if fix_a_identity else _gl_elements(field, m)
     gl_n = _gl_elements(field, n)
     na, nb = len(gl_m), len(gl_n)
@@ -197,4 +199,6 @@ def oracle_agl(n: int, field: FiniteField,
                budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
     """Conjugacy classes of the affine group of degree n, realized as
     (n+1) x (n+1) matrices with a pinned 1 in the corner."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return oracle_classes(1, n, field, budget=budget, fix_a_identity=True)

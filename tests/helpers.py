@@ -287,6 +287,25 @@ def aut_order(lam, q):
     return order
 
 
+def reference_is_irreducible(f, field):
+    """Rabin's criterion (Rabin, Probabilistic algorithms in finite fields,
+    SIAM J. Comput. 1980), an independent check of Ben-Or's test in
+    `gf.is_irreducible`: f of degree d >= 1 is irreducible exactly when
+    x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for every prime r
+    dividing d."""
+    from paraclasses.gf import pdeg, pgcd, ppow_mod, psub
+    d, q = pdeg(f), field.order
+    if d < 2:
+        return d == 1
+    x = (field.zero, field.one)
+    for r in (r for r in range(2, d + 1) if d % r == 0
+              and all(r % s for s in range(2, r))):
+        h = ppow_mod(x, q ** (d // r), f, field)
+        if pgcd(psub(h, x, field), f, field) != (field.one,):
+            return False
+    return psub(ppow_mod(x, q ** d, f, field), x, field) == ()
+
+
 def reference_class_count(m, n, field):
     """Class count of P(m, n) by the Levi-pair loop: over every pair of
     invertible Jordan forms, the product of the orbit counts of its

@@ -203,3 +203,24 @@ def test_count_poly_budget_exit_names_shape(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert ")x(" in err and "over F_2" in err and "budget 8" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "agl", "--n", "0"], "n must be >= 1"),
+    (["oracle", "parabolic", "--m", "0", "--n", "1"], "block dimensions must be >= 1"),
+    (["oracle", "parabolic", "--m", "-1", "--n", "1"], "block dimensions must be >= 1"),
+    (["oracle", "parabolic", "--m", "1", "--n", "0"], "block dimensions must be >= 1")])
+def test_oracle_rejects_empty_blocks(capsys, argv, message):
+    assert run(argv + ["--q", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_counts_at_a_large_prime(capsys):
+    from paraclasses.conjugacy import count_poly
+    q = 1000000007
+    code, out = _capture(capsys, ["classes", "agl", "--n", "1", "--q", str(q)])
+    assert code == 0 and json.loads(out)["count"] == q
+    code, out = _capture(capsys, ["classes", "parabolic", "--m", "2", "--n", "2",
+                                  "--q", str(q)])
+    assert code == 0 and json.loads(out)["count"] == count_poly(2, 2)(q)

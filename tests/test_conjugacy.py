@@ -140,6 +140,13 @@ def test_count_poly_is_symmetric_in_m_and_n():
             assert count_poly(m, n) == count_poly(n, m), (m, n)
 
 
+@pytest.mark.parametrize("q", [1000000007, 2147483647])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (1, 3)])
+def test_class_count_at_a_large_prime_matches_count_poly(m, n, q):
+    # neither the field nor its order is ever enumerated
+    assert parabolic_class_count(m, n, ff_order(q)) == count_poly(m, n)(q)
+
+
 def test_count_poly_budget_holds_after_a_warm_call():
     count_poly(2, 2)
     with pytest.raises(BudgetExceeded) as ei:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -11,7 +12,7 @@ from paraclasses.gf import (FiniteField, extend, extension, ff, ff_order,
                             is_prime, padd, pdeg, pdivmod, pmul, pnormalize,
                             poly_factor, poly_parse, poly_str)
 
-from helpers import reference_tables
+from helpers import reference_is_irreducible, reference_tables
 
 
 def _tower(p, e, d):
@@ -54,8 +55,11 @@ def test_field_construction_errors():
         ff(4, 1)
     with pytest.raises(ValueError):
         ff(2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^12 is not a prime power$"):
         ff_order(12)
+    for q in (0, 1):
+        with pytest.raises(ValueError, match=f"^field order must be >= 2, got {q}$"):
+            ff_order(q)
 
 
 def test_arithmetic_examples():
@@ -287,3 +291,64 @@ def test_poly_text_roundtrip():
     f = (2, 0, 3, 1)
     assert poly_parse(poly_str(f, F4), F4) == f
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(9)
+
+
+@pytest.mark.parametrize("field,top", [
+    (ff(2), 6), (ff(3), 4), (ff(2, 2), 4), (ff(5), 4), (ff(7), 3), (ff(2, 3), 3),
+    (ff(3, 2), 3)], ids=lambda v: _field_id(v) if isinstance(v, FiniteField) else f"deg{v}")
+def test_ben_or_matches_rabin_on_every_monic_polynomial(field, top):
+    irreducible = [0] * (top + 1)
+    for d in range(top + 1):
+        for lows in itertools.product(range(field.order), repeat=d):
+            f = lows + (field.one,)
+            answer = is_irreducible(f, field)
+            assert answer == reference_is_irreducible(f, field), f
+            irreducible[d] += answer
+    assert irreducible == [0] + [irreducible_count(d, field.order)
+                                 for d in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("field", [ff(2), ff(3), ff(2, 2), ff(5)], ids=_field_id)
+def test_ben_or_at_its_tight_bound(field):
+    # p * p' and p^2 of degree 2e have no factor below degree e = n/2, so
+    # only the last gcd of Ben-Or's loop can see them; a unit factor c and
+    # constants must not change the answer
+    c = field.units()[-1]
+    for e in (1, 2, 3):
+        irrs = irreducibles(e, field)[:4]
+        for g in irrs:
+            assert is_irreducible(pmul((c,), g, field), field)
+            for h in irrs:
+                f = pmul((c,), pmul(g, h, field), field)
+                assert not is_irreducible(f, field)
+                assert not reference_is_irreducible(f, field)
+    for f in [(), (field.one,), (c,)]:
+        assert not is_irreducible(f, field) and not reference_is_irreducible(f, field)
+
+
+def _order(field, a):
+    k, x = 1, a
+    while x != field.one:
+        x, k = field.mul(x, a), k + 1
+    return k
+
+
+TOWER_FIELDS = [extension(ff_order(q), d) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+                for d in range(2, 9) if q ** d <= 256]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS + TOWER_FIELDS, ids=_field_id)
+def test_primitive_element_is_least_unit_of_full_order(field):
+    assert field.primitive_element() == next(
+        a for a in field.units() if _order(field, a) == field.order - 1)
+
+
+def test_is_prime_and_mobius_match_brute_force():
+    N = 2000
+    primes = [n for n in range(N) if n >= 2 and all(n % k for k in range(2, n))]
+    assert [n for n in range(N) if is_prime(n)] == primes
+    # mu(1) = 1 and the mu(e) over the divisors e of any n > 1 sum to 0
+    mu = [0, 1] + [0] * (N - 2)
+    for n in range(2, N):
+        mu[n] = -sum(mu[e] for e in range(1, n) if n % e == 0)
+    assert [gf.mobius(n) for n in range(1, N)] == mu[1:]
