@@ -58,9 +58,6 @@ class CocentShape:
     def __repr__(self):
         return f"CocentShape(mu={self.mu}, nu={self.nu}, {self.field!r})"
 
-    def zero(self) -> "CocentElement":
-        return CocentElement(self, tuple(tuple((0,) * l for l in row) for row in self.l))
-
     def slots(self) -> list:
         """Flat (i, j, exponent) coordinates in canonical order."""
         out = []

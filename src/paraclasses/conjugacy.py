@@ -10,17 +10,21 @@ Levi pair.  Counting never enumerates Levi pairs: the number of orbits at
 an eigenvalue depends only on its pair of partitions and its degree, so
 classes are counted by type, as the coefficient of x^m y^n in a product of
 one power series per degree raised to the number of irreducibles of that
-degree.  Orbit counts come from the one orbit memo of `enumerate_orbits`,
-keyed by shape and field and shared with representatives (both solve a
-degree-d eigenvalue over `gf.extension(F_q, d)`); finite-type shapes are
-solved over F_2, sound by field independence (checked in the tests), and
-with the number of irreducibles written as a polynomial in q the same sum
-gives the class count as an exact polynomial in the field size.
+degree.  A shape with a side (1^a) is counted in closed form, the number
+of positions of a row space of dimension <= a relative to a partial flag
+(proof in `orbit_count_cached`), and is never swept.  Other orbit counts
+come from the one orbit memo of `enumerate_orbits`, keyed by shape and
+field and shared with representatives (both solve a degree-d eigenvalue
+over `gf.extension(F_q, d)`); finite-type shapes are solved over F_2,
+sound by field independence (checked in the tests), and with the number
+of irreducibles written as a polynomial in q the same sum gives the class
+count as an exact polynomial in the field size.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -37,7 +41,31 @@ from .partitions import partitions
 
 def orbit_count_cached(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> int:
     """Orbit count of the (mu, nu) problem over K, solved over F_2 for
-    finite-type shapes (their counts do not depend on the field)."""
+    finite-type shapes (their counts do not depend on the field), and in
+    closed form when a side is (1^a): nothing is swept, so the budget does
+    not apply.
+
+    Closed form: let mu = (1^a) and let m_1..m_k be the multiplicities of
+    the distinct parts of nu; then the count is the number of (r_1..r_k)
+    with 0 <= r_i <= m_i and sum r_i <= a, and symmetrically for nu = (1^b).
+    Proof: every entry has length min(1, nu_j) = 1, so the space is the
+    a x l(nu) matrices over K, and Aut((1^a)) acts on the left as all of
+    GL_a.  On the right only the constant terms of Aut(nu) survive the
+    truncation.  An entry between parts of different sizes has offset 0,
+    so a constant term, in one direction only; the constant terms thus
+    make up the parabolic P of GL_{l(nu)} that fixes the flag
+    F_1 < ... < F_k whose quotients F_i / F_{i-1} gather the m_i parts of
+    one size, ordered by size, with Levi factor prod GL_{m_i}, and every
+    element of P occurs.  GL_a reduces a matrix to its row space W, of any
+    dimension <= a, and the P-orbits of subspaces are their positions
+    relative to the flag (the Bruhat decomposition of the Grassmannian):
+    the tuples r_i = dim(W & F_i) - dim(W & F_{i-1}), each with
+    0 <= r_i <= m_i, all of which occur.
+    """
+    for side, other in ((mu, nu), (nu, mu)):
+        if set(side) == {1}:
+            return sum(sum(r) <= len(side) for r in itertools.product(
+                *(range(m + 1) for m in Counter(other).values())))
     if type_classify(mu, nu).kind == "finite":
         field = ff(2)
     return enumerate_orbits(mu, nu, field, budget).count
@@ -128,12 +156,14 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
 
     Before the first is yielded, the budget is checked against the largest
     space swept, (1^m)x(1^n) over the field itself, and the op tables of
-    the largest field needed, `gf.extension(field, min(m, n))`, are built;
-    the loop sweeps that space and solves every degree-min(m, n)
-    eigenvalue over that very field.
+    the largest field needed, `gf.extension(field, min(m, n))`, are built,
+    their order checked before a modulus is searched for; the loop sweeps
+    that space and solves every degree-min(m, n) eigenvalue over that very
+    field.
     """
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
+    gf.check_table_order(field.order ** min(m, n))
     gf.extension(field, min(m, n)).tables()
     enumerate_orbits((1,) * m, (1,) * n, field, budget)
     forms: dict = {}  # form -> (Jordan matrix, factor offsets)

@@ -34,6 +34,14 @@ Poly = tuple  # tuple of element indices, low-to-high, no trailing zeros
 _TABLE_LIMIT = 1024  # largest field order for which dense op tables are built
 
 
+def check_table_order(order: int) -> None:
+    """Refuse, as exceeding the budget, dense op tables for a field of
+    this order: above _TABLE_LIMIT."""
+    if order > _TABLE_LIMIT:
+        raise BudgetExceeded(order, _TABLE_LIMIT, f"dense op tables of F_{order}",
+                             "field order {}")
+
+
 def _prime_factors(n: int) -> dict:
     """{p: e} with n the product of the p^e (empty for n < 2), by trial
     division."""
@@ -184,9 +192,7 @@ class FiniteField:
         """
         if self._tables is None:
             n = self.order
-            if n > _TABLE_LIMIT:
-                raise BudgetExceeded(n, _TABLE_LIMIT, f"dense op tables of F_{n}",
-                                     "field order {}")
+            check_table_order(n)
             idx = np.arange(n, dtype=np.int32)
             if self.base is None:
                 add = (idx[:, None] + idx) % n

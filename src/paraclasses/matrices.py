@@ -182,12 +182,6 @@ def direct_sum(*mats: Mat) -> Mat:
     return Mat(field, out)
 
 
-def block(rows_of_blocks: list) -> Mat:
-    field = rows_of_blocks[0][0].field
-    parts = [np.hstack([b.a for b in row]) for row in rows_of_blocks]
-    return Mat(field, np.vstack(parts))
-
-
 def mat_str(m: Mat) -> str:
     """Rows separated by ';', entries by spaces."""
     f = m.field

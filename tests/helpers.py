@@ -309,14 +309,20 @@ def reference_is_irreducible(f, field):
 def reference_class_count(m, n, field):
     """Class count of P(m, n) by the Levi-pair loop: over every pair of
     invertible Jordan forms, the product of the orbit counts of its
-    per-eigenvalue problems (the path the type-level count replaced)."""
+    per-eigenvalue problems (the path the type-level count replaced).
+    Every orbit count comes from a sweep, over F_2 for finite-type shapes
+    and over the problem's own field otherwise, never from the closed form
+    of `orbit_count_cached`."""
     from paraclasses.cocentralizer import reduce_levi_pair
-    from paraclasses.conjugacy import levi_reps, orbit_count_cached
+    from paraclasses.conjugacy import levi_reps
+    from paraclasses.gf import ff
+    from paraclasses.matrix_problem import enumerate_orbits, type_classify
     total = 0
     for ga, gb in levi_reps(m, n, field):
         prod = 1
         for pr in reduce_levi_pair(ga, gb, field):
-            prod *= orbit_count_cached(pr.mu, pr.nu, pr.field)
+            finite = type_classify(pr.mu, pr.nu).kind == "finite"
+            prod *= enumerate_orbits(pr.mu, pr.nu, ff(2) if finite else pr.field).count
         total += prod
     return total
 
@@ -385,6 +391,19 @@ def reference_count_poly(m, n):
 
 
 # -- test-only constructors and JSON readers (the package only writes JSON) ---
+
+
+def block(rows_of_blocks):
+    """The matrix assembled from a grid of blocks."""
+    from paraclasses.matrices import Mat
+    field = rows_of_blocks[0][0].field
+    return Mat(field, np.vstack([np.hstack([b.a for b in row]) for row in rows_of_blocks]))
+
+
+def cocent_zero(shape):
+    """The zero element of a CocentShape's space."""
+    from paraclasses.cocentralizer import CocentElement
+    return CocentElement(shape, tuple(tuple((0,) * l for l in row) for row in shape.l))
 
 
 def random_invertible(field, n, rng):

@@ -10,6 +10,13 @@ import paraclasses
 from paraclasses.cli import run
 
 
+def _child_env():
+    """The environment for a CLI child process that imports this package."""
+    src = str(Path(paraclasses.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _capture(capsys, argv):
     code = run(argv)
     return code, capsys.readouterr().out
@@ -164,6 +171,23 @@ def test_reps_budget_exit_prints_nothing(capsys):
     assert "over F_3 needs" in err
 
 
+@pytest.mark.parametrize("q", [37, 1000000007])
+def test_reps_past_the_table_limit_exits_at_once(q):
+    # F_{q^2} is past the dense-table limit; the refusal must come before a
+    # degree-2 modulus is searched for among the q^2 monic quadratics, so a
+    # 1 GB address-space cap on the child turns a regression into exit 1
+    import resource
+    proc = subprocess.run(
+        [sys.executable, "-c", "from paraclasses.cli import main; main()",
+         "classes", "parabolic", "--m", "2", "--n", "2", "--q", str(q), "--reps"],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (f"budget exceeded: dense op tables of F_{q * q} needs "
+                           f"field order {q * q}, budget 1024\n")
+
+
 def test_reps_stream_line_by_line(capsys, monkeypatch):
     import paraclasses.cli
     real, calls = paraclasses.cli.class_rep_to_json, []
@@ -183,13 +207,10 @@ def test_reps_stream_line_by_line(capsys, monkeypatch):
 def test_reps_piped_into_a_reader_that_closes_early():
     # like `paraclasses classes parabolic ... --reps | head -1`: the 480 kB
     # of output outgrow the pipe, so writes after the close must fail quietly
-    src = str(Path(paraclasses.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from paraclasses.cli import main; main()",
          "classes", "parabolic", "--m", "2", "--n", "2", "--q", "7", "--reps"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     assert "levi_a" in json.loads(proc.stdout.readline())
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -198,11 +219,13 @@ def test_reps_piped_into_a_reader_that_closes_early():
 
 
 def test_count_poly_budget_exit_names_shape(capsys):
+    # (2)x(2) is the one shape of (2, 2) that is swept, 4 states over F_2;
+    # the others have a (1^a) side and are counted in closed form
     assert run(["classes", "count-poly", "--m", "2", "--n", "2",
-                "--budget", "8"]) == 3
+                "--budget", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert ")x(" in err and "over F_2" in err and "budget 8" in err
+    assert "(2)x(2) over F_2" in err and "budget 3" in err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import cocent_from_json, commutator_space, in_span
+from helpers import cocent_from_json, cocent_zero, commutator_space, in_span
 from paraclasses.gf import extend, extension, ff, irreducibles, pdeg
 from paraclasses.jordan import assemble
 from paraclasses.matrices import Mat
@@ -71,7 +71,7 @@ def test_reduce_levi_pair_examples():
 
 def test_lift_trivial_examples():
     sh = CocentShape((4, 2), (4, 2), F3)
-    assert lift(sh.zero(), (2, 1), F3) == Mat.zeros(F3, 6, 6)
+    assert lift(cocent_zero(sh), (2, 1), F3) == Mat.zeros(F3, 6, 6)
     sh1 = CocentShape((1,), (1,), F3)
     assert lift(CocentElement(sh1, (((2,),),)), (2, 1), F3) \
         == Mat.from_rows(F3, [[2]])

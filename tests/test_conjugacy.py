@@ -6,7 +6,7 @@ from paraclasses.cocentralizer import lift
 from paraclasses.errors import BudgetExceeded
 from paraclasses.gf import extension, ff, ff_order, pdeg
 from paraclasses.jordan import assemble, factor_offsets
-from paraclasses.matrices import Mat, block, mat_str
+from paraclasses.matrices import Mat, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
                                    class_rep_to_json, count_poly,
                                    gl_class_count, levi_reps,
@@ -14,8 +14,8 @@ from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
                                    parabolic_class_reps)
 from paraclasses.oracle import oracle_agl, oracle_classes
 
-from helpers import (class_rep_from_json, prime_powers, reference_class_count,
-                     reference_count_poly)
+from helpers import (block, class_rep_from_json, prime_powers,
+                     reference_class_count, reference_count_poly)
 
 F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 
@@ -106,6 +106,24 @@ def test_orbit_count_memo_is_field_independent():
             assert enumerate_orbits(mu, nu, field).count == memo
 
 
+def test_one_power_side_closed_form_matches_the_sweep():
+    # every (1^a) x nu and nu x (1^a), a <= 4, |nu| <= 5, that fits in 2^20
+    # states, against the orbit count of a sweep over the field itself
+    from paraclasses.matrix_problem import enumerate_orbits
+    from paraclasses.partitions import partitions
+    compared = 0
+    for a in range(1, 5):
+        for nu in (nu for k in range(1, 6) for nu in partitions(k)):
+            for field in (F2, F3):
+                if field.order ** (a * len(nu)) > 1 << 20:
+                    continue
+                for mu_, nu_ in (((1,) * a, nu), (nu, (1,) * a)):
+                    assert orbit_count_cached(mu_, nu_, field) == \
+                        enumerate_orbits(mu_, nu_, field).count, (mu_, nu_, field)
+                    compared += 1
+    assert compared == 280
+
+
 def test_prime_powers_stream():
     import itertools
     assert list(itertools.islice(prime_powers(), 10)) \
@@ -140,6 +158,15 @@ def test_count_poly_is_symmetric_in_m_and_n():
             assert count_poly(m, n) == count_poly(n, m), (m, n)
 
 
+def test_count_poly_reaches_every_parabolic_of_gl_11():
+    # the pairs whose shapes with a (1^a) side were past the state budget;
+    # the mirrored side sums different shapes, an independent check
+    assert tuple(count_poly(5, 5)) == (-1, 0, 6, -1, -7, -2, -1, 2, 2, 1, 1)
+    assert tuple(count_poly(4, 6)) == (0, -1, 6, -2, -7, -2, 0, 2, 2, 1, 1)
+    for m, n in [(4, 6), (3, 8), (4, 7), (5, 6)]:
+        assert count_poly(m, n) == count_poly(n, m), (m, n)
+
+
 @pytest.mark.parametrize("q", [1000000007, 2147483647])
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (1, 3)])
 def test_class_count_at_a_large_prime_matches_count_poly(m, n, q):
@@ -150,8 +177,8 @@ def test_class_count_at_a_large_prime_matches_count_poly(m, n, q):
 def test_count_poly_budget_holds_after_a_warm_call():
     count_poly(2, 2)
     with pytest.raises(BudgetExceeded) as ei:
-        count_poly(2, 2, budget=8)
-    assert str(ei.value).startswith("(1,1)x(1,1) over F_2 needs")
+        count_poly(2, 2, budget=3)
+    assert str(ei.value).startswith("(2)x(2) over F_2 needs")
 
 
 def test_count_poly_evaluations_match_direct_counts():
