@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import gf
 from .gf import FiniteField, Poly
@@ -84,23 +84,22 @@ def _zero_windows(lam):
     return [[(0,) * min(a, b) for b in lam] for a in lam]
 
 
-def alg_identity(lam, field: FiniteField, transposed: bool = False) -> AlgElement:
+def alg_identity(lam, field: FiniteField) -> AlgElement:
     w = _zero_windows(lam)
     for i in range(len(lam)):
         wi = list(w[i][i])
         wi[0] = field.one
         w[i][i] = tuple(wi)
-    return AlgElement(lam, field, w, transposed)
+    return AlgElement(lam, field, w)
 
 
-def alg_from_entry(lam, field, i, j, poly: Poly, base: Optional[AlgElement] = None) -> AlgElement:
-    """base (default identity) with window (i,j) set to the coefficients of poly."""
-    el = base if base is not None else alg_identity(lam, field)
-    w = [list(r) for r in el.windows]
+def alg_from_entry(lam, field, i, j, poly: Poly) -> AlgElement:
+    """The identity with window (i,j) set to the coefficients of poly."""
+    w = [list(r) for r in alg_identity(lam, field).windows]
     lim = min(lam[i], lam[j])
     assert gf.pdeg(poly) < lim, "parameter polynomial too long for this block"
     w[i][j] = tuple(poly) + (0,) * (lim - len(poly))
-    return AlgElement(lam, field, w, el.transposed)
+    return AlgElement(lam, field, w)
 
 
 def truncated_product(left, right, rings, field: FiniteField) -> list:

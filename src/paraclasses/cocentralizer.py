@@ -24,13 +24,11 @@ brute-force oracle in the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
 
 from . import gf
 from .gf import FiniteField, Poly
 from .matrices import Mat
-from .centralizer import (AlgElement, Generator, _grid, _mult_matrix, d_twist,
-                          truncated_product)
+from .centralizer import AlgElement, _grid, _mult_matrix, d_twist, truncated_product
 from .partitions import check_partition
 
 
@@ -66,12 +64,6 @@ class CocentShape:
                 for a in range(self.l[i][j]):
                     out.append((i, j, a))
         return out
-
-    def elements(self) -> Iterator["CocentElement"]:
-        import itertools
-        slots = self.slots()
-        for flat in itertools.product(self.field.elements(), repeat=len(slots)):
-            yield CocentElement.from_flat(self, flat)
 
 
 class CocentElement:
@@ -118,32 +110,26 @@ class CocentElement:
         return f"CocentElement(mu={self.shape.mu}, nu={self.shape.nu}, {rows})"
 
 
-def _as_alg(g: Union[Generator, AlgElement]) -> AlgElement:
-    return g.realized if isinstance(g, Generator) else g
-
-
 def _at_zero(v: CocentElement) -> list:
     """The entries of v as (offset 0, coefficients) pairs."""
     return [[(0, e) for e in row] for row in v.entries]
 
 
-def act_left(g: Union[Generator, AlgElement], v: CocentElement) -> CocentElement:
+def act_left(g: AlgElement, v: CocentElement) -> CocentElement:
     """Left multiplication by an element of the mu-side centralizer."""
-    g = _as_alg(g)
     sh = v.shape
     if g.lam != sh.mu or g.field is not sh.field or g.transposed:
         raise ValueError("left action needs a straight-shape element over mu")
     return CocentElement(sh, truncated_product(_grid(g), _at_zero(v), sh.l, sh.field))
 
 
-def act_right(v: CocentElement, g: Union[Generator, AlgElement]) -> CocentElement:
+def act_right(v: CocentElement, g: AlgElement) -> CocentElement:
     """Right multiplication by d_twist(g), g in the nu-side centralizer."""
-    g = _as_alg(g)
     sh = v.shape
-    if g.lam != sh.nu or g.field is not sh.field:
-        raise ValueError("right action needs an element over nu")
-    w = d_twist(g) if not g.transposed else g
-    return CocentElement(sh, truncated_product(_at_zero(v), _grid(w), sh.l, sh.field))
+    if g.lam != sh.nu or g.field is not sh.field or g.transposed:
+        raise ValueError("right action needs a straight-shape element over nu")
+    return CocentElement(sh, truncated_product(_at_zero(v), _grid(d_twist(g)), sh.l,
+                                               sh.field))
 
 
 @dataclass(frozen=True)

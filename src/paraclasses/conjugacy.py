@@ -39,11 +39,14 @@ from .matrix_problem import DEFAULT_BUDGET, enumerate_orbits, type_classify
 from .partitions import partitions
 
 
-def orbit_count_cached(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> int:
-    """Orbit count of the (mu, nu) problem over K, solved over F_2 for
-    finite-type shapes (their counts do not depend on the field), and in
-    closed form when a side is (1^a): nothing is swept, so the budget does
-    not apply.
+def orbit_count_cached(mu, nu, field: FiniteField, d: int,
+                       budget: int = DEFAULT_BUDGET) -> int:
+    """Orbit count of the (mu, nu) problem at a degree-d eigenvalue over
+    the field: in closed form when a side is (1^a), where nothing is swept,
+    so the budget does not apply; solved over F_2 for finite-type shapes
+    (their counts do not depend on the field); otherwise solved over
+    `gf.extension(field, d)`, the field representatives use, sharing its
+    memo entries.
 
     Closed form: let mu = (1^a) and let m_1..m_k be the multiplicities of
     the distinct parts of nu; then the count is the number of (r_1..r_k)
@@ -66,17 +69,16 @@ def orbit_count_cached(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET)
         if set(side) == {1}:
             return sum(sum(r) <= len(side) for r in itertools.product(
                 *(range(m + 1) for m in Counter(other).values())))
-    if type_classify(mu, nu).kind == "finite":
-        field = ff(2)
-    return enumerate_orbits(mu, nu, field, budget).count
+    K = ff(2) if type_classify(mu, nu).kind == "finite" else gf.extension(field, d)
+    return enumerate_orbits(mu, nu, K, budget).count
 
 
 def levi_reps(m: int, n: int, field: FiniteField) -> Iterator[tuple]:
     """All pairs of invertible Jordan forms of dimensions (m, n)."""
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
-    ga_list = list(enumerate_gjnf(m, field, invertible_only=True))
-    gb_list = list(enumerate_gjnf(n, field, invertible_only=True))
+    ga_list = list(enumerate_gjnf(m, field))
+    gb_list = list(enumerate_gjnf(n, field))
     for ga in ga_list:
         for gb in gb_list:
             yield ga, gb
@@ -132,13 +134,9 @@ def parabolic_class_count(m: int, n: int, field: FiniteField,
     """Number of conjugacy classes of the (m, n) block group over the field."""
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
-
-    def weight(mu, nu, d):
-        # over the F_{q^d} that representatives use, sharing its memo entries
-        K = field if type_classify(mu, nu).kind == "finite" else gf.extension(field, d)
-        return orbit_count_cached(mu, nu, K, budget)
-
-    return int(_count_by_type(m, n, _eigen_count(field.order), weight))
+    return int(_count_by_type(
+        m, n, _eigen_count(field.order),
+        lambda mu, nu, d: orbit_count_cached(mu, nu, field, d, budget)))
 
 
 @dataclass
@@ -227,7 +225,7 @@ def count_poly(m: int, n: int, budget: int = DEFAULT_BUDGET) -> CountPolynomial:
         raise ValueError("block dimensions must be >= 1")
 
     poly = _count_by_type(m, n, _eigen_count(Polynomial([Fraction(0), Fraction(1)])),
-                          lambda mu, nu, d: orbit_count_cached(mu, nu, ff(2), budget))
+                          lambda mu, nu, d: orbit_count_cached(mu, nu, ff(2), d, budget))
     coeffs = list(poly.coef)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -272,7 +270,7 @@ def agl_class_reps(n: int, field: FiniteField) -> Iterator[Mat]:
         raise ValueError("n must be >= 1")
     p1 = _eigen_one_poly(field)
     for d in range(n + 1):
-        for g in enumerate_gjnf(n - d, field, invertible_only=True):
+        for g in enumerate_gjnf(n - d, field):
             if d == 0:
                 gp = g
                 e_col = None

@@ -473,10 +473,12 @@ def poly_parse(s: str, field: FiniteField) -> Poly:
 
 def _monic_polys(field: FiniteField, d: int) -> Iterator[Poly]:
     """Monic degree-d polynomials in ascending lexicographic order of
-    (c_0, c_1, ...) with elements ordered by index."""
-    import itertools
-    for lows in itertools.product(field.elements(), repeat=d):
-        yield tuple(lows) + (field.one,)
+    (c_0, c_1, ...) with elements ordered by index, one at a time.  For
+    d >= 2 the stream starts past the q^(d-1) candidates with c_0 = 0,
+    which t divides."""
+    q = field.order
+    for k in range(q ** (d - 1) if d > 1 else 0, q ** d):
+        yield tuple(k // q ** (d - 1 - i) % q for i in range(d)) + (field.one,)
 
 
 def is_irreducible(f: Poly, field: FiniteField) -> bool:
@@ -492,16 +494,11 @@ def is_irreducible(f: Poly, field: FiniteField) -> bool:
 
 
 @lru_cache(maxsize=None)
-def irreducibles(d: int, field: FiniteField, exclude_x: bool = False) -> tuple:
-    """All monic irreducibles of degree d, in lexicographic order.
-
-    With ``exclude_x`` the polynomial t is dropped (the invertibility
-    constraint on generalized eigenvalues).
-    """
+def irreducibles(d: int, field: FiniteField) -> tuple:
+    """All monic irreducibles of degree d, in lexicographic order."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return tuple(f for f in _monic_polys(field, d)
-                 if not (exclude_x and f[0] == field.zero) and is_irreducible(f, field))
+    return tuple(f for f in _monic_polys(field, d) if is_irreducible(f, field))
 
 
 def mobius(n: int) -> int:

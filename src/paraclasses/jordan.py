@@ -111,7 +111,7 @@ def gjnf(m: Mat) -> GJNF:
     return canonical_sort(out)
 
 
-def conjugator(a: Mat, b: Mat, seed: int = 0, retries: int = 1000) -> Optional[Mat]:
+def conjugator(a: Mat, b: Mat, retries: int = 1000) -> Optional[Mat]:
     """Invertible X with X A X^-1 = B, or None if A and B are not similar.
 
     A and B are similar exactly when their generalized Jordan data agree.
@@ -141,7 +141,7 @@ def conjugator(a: Mat, b: Mat, seed: int = 0, retries: int = 1000) -> Optional[M
                                                 t["neg"][b.a[i, k]]]
     vecs = np.hstack([v.a for v in sys.kernel_basis()])  # nn x d
     q, d = field.order, vecs.shape[1]
-    rng = random.Random(0xC0DE ^ seed)
+    rng = random.Random(0xC0DE)
     for _ in range(retries):
         acc = np.zeros(nn, dtype=np.int32)
         for col in vecs.T:
@@ -153,18 +153,18 @@ def conjugator(a: Mat, b: Mat, seed: int = 0, retries: int = 1000) -> Optional[M
         f"no invertible conjugator found in {retries} samples (space size {q}**{d})")
 
 
-def enumerate_gjnf(n: int, field: FiniteField, invertible_only: bool = True) -> Iterator[GJNF]:
-    """Every generalized Jordan form of total dimension n, exactly once.
+def enumerate_gjnf(n: int, field: FiniteField) -> Iterator[GJNF]:
+    """Every invertible generalized Jordan form of total dimension n,
+    exactly once, in canonical form.
 
     Iterates over multisets of (irreducible, partition) pairs whose weighted
-    sizes sum to n; p = t is excluded when invertible_only.
+    sizes sum to n, p = t excluded; the irreducibles are taken in canonical
+    (degree, lex) order, so every form comes out sorted.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    irrs = []
-    for d in range(1, n + 1):
-        irrs.extend(gf.irreducibles(d, field, exclude_x=invertible_only))
-    # irrs is already in canonical (degree, lex) order
+    irrs = [f for d in range(1, n + 1) for f in gf.irreducibles(d, field)
+            if f[0] != field.zero]
 
     def rec(rem: int, start: int):
         if rem == 0:
@@ -179,8 +179,7 @@ def enumerate_gjnf(n: int, field: FiniteField, invertible_only: bool = True) -> 
                     for rest in rec(rem - size * d, idx + 1):
                         yield ((irrs[idx], lam),) + rest
 
-    for form in rec(n, 0):
-        yield canonical_sort(form)
+    yield from rec(n, 0)
 
 
 def gjnf_to_json(form: GJNF, field: FiniteField) -> list:

@@ -406,6 +406,14 @@ def cocent_zero(shape):
     return CocentElement(shape, tuple(tuple((0,) * l for l in row) for row in shape.l))
 
 
+def cocent_elements(shape):
+    """Every element of a CocentShape's space, in the lexicographic order
+    of their flat coefficient tuples."""
+    from paraclasses.cocentralizer import CocentElement
+    for flat in itertools.product(shape.field.elements(), repeat=shape.dim):
+        yield CocentElement.from_flat(shape, flat)
+
+
 def random_invertible(field, n, rng):
     from paraclasses.matrices import Mat
     while True:

@@ -46,7 +46,7 @@ def test_acceptance_01_gjnf_round_trip():
                 for _ in range(20):
                     a = random_invertible(field, n, rng)
                     b = assemble(gjnf(a), field)
-                    x = conjugator(a, b, seed=1)
+                    x = conjugator(a, b)
                     assert x is not None and x.is_invertible()
                     assert x @ a @ x.inverse() == b
                     done += 1

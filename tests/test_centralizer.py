@@ -40,7 +40,7 @@ def test_identity_and_truncation():
         assert alg_mul(b, ident) == b
         if i > 40:
             break
-    x_el = alg_from_entry((2,), F2, 0, 0, (0, 1), base=alg_zero((2,), F2))
+    x_el = AlgElement((2,), F2, [[(0, 1)]])
     assert alg_mul(x_el, x_el) == alg_zero((2,), F2)
 
 
@@ -82,8 +82,8 @@ def test_unit_criterion_equals_matrix_invertibility_exhaustive():
 
 def test_d_twist_identity_and_equal_parts():
     lam = (2, 1)
-    assert d_twist(alg_identity(lam, F2)) == alg_identity(lam, F2,
-                                                          transposed=True)
+    ident = alg_identity(lam, F2)
+    assert d_twist(ident) == AlgElement(lam, F2, ident.windows, transposed=True)
     # equal parts: no x-factors move, the window grid is untouched
     b = alg_from_entry((2, 2), F3, 0, 1, (1, 2))
     db = d_twist(b)
@@ -196,7 +196,7 @@ def test_dropped_additions_are_commutators_of_adjacent_ones(field):
 
 def test_embed_examples():
     assert embed(alg_identity((2, 1), F3), (2, 1), F3) == Mat.identity(F3, 3)
-    x_el = alg_from_entry((2,), F2, 0, 0, (0, 1), base=alg_zero((2,), F2))
+    x_el = AlgElement((2,), F2, [[(0, 1)]])
     assert embed(x_el, (0, 1), F2) == jordan_block((0, 1), 2, F2)
 
 

@@ -171,17 +171,33 @@ def test_reps_budget_exit_prints_nothing(capsys):
     assert "over F_3 needs" in err
 
 
+def _run_capped(*argv):
+    """The CLI run in a child whose address space is capped at 1 GB, so
+    that an allocation in proportion to a large q ends in exit 1."""
+    import resource
+    return subprocess.run(
+        [sys.executable, "-c", "from paraclasses.cli import main; main()", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+
+
 @pytest.mark.parametrize("q", [37, 1000000007])
 def test_reps_past_the_table_limit_exits_at_once(q):
     # F_{q^2} is past the dense-table limit; the refusal must come before a
-    # degree-2 modulus is searched for among the q^2 monic quadratics, so a
-    # 1 GB address-space cap on the child turns a regression into exit 1
-    import resource
-    proc = subprocess.run(
-        [sys.executable, "-c", "from paraclasses.cli import main; main()",
-         "classes", "parabolic", "--m", "2", "--n", "2", "--q", str(q), "--reps"],
-        capture_output=True, text=True, env=_child_env(), timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    # degree-2 modulus is searched for among the q^2 monic quadratics
+    proc = _run_capped("classes", "parabolic", "--m", "2", "--n", "2", "--q", str(q),
+                       "--reps")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (f"budget exceeded: dense op tables of F_{q * q} needs "
+                           f"field order {q * q}, budget 1024\n")
+
+
+def test_gjnf_over_a_quadratic_extension_of_a_large_prime_field():
+    # the modulus of F_{q^2} is found without building the q elements of
+    # F_q, and the op tables of F_{q^2} are refused
+    q = 1000000007
+    proc = _run_capped("gjnf", "--q", str(q), "--ext", "2", "--matrix", "1")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (f"budget exceeded: dense op tables of F_{q * q} needs "

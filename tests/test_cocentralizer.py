@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import cocent_from_json, cocent_zero, commutator_space, in_span
+from helpers import (cocent_elements, cocent_from_json, cocent_zero, commutator_space,
+                     in_span)
 from paraclasses.gf import extend, extension, ff, irreducibles, pdeg
 from paraclasses.jordan import assemble
 from paraclasses.matrices import Mat
-from paraclasses.centralizer import (alg_from_entry, alg_identity, alg_mul,
+from paraclasses.centralizer import (alg_from_entry, alg_identity, alg_mul, d_twist,
                                      embed, reduced_action_generators)
 from paraclasses.cocentralizer import (CocentElement, CocentShape, act_left,
                                        act_right, cocent_to_json, lift,
@@ -39,15 +40,19 @@ def test_action_examples():
     assert act_left(g, v).entries[0][0] == (1, 1)
     ident = alg_identity((2, 1), F2)
     sh3 = CocentShape((2, 1), (2, 1), F2)
-    for v in itertools.islice(sh3.elements(), 0, 60, 11):
+    for v in itertools.islice(cocent_elements(sh3), 0, 60, 11):
         assert act_left(ident, v) == v
         assert act_right(v, ident) == v
+    # both sides take straight-shape elements only; act_right twists itself
+    for act in (lambda g: act_left(g, v), lambda g: act_right(v, g)):
+        with pytest.raises(ValueError):
+            act(d_twist(ident))
 
 
 def test_action_compatibility_and_commutation():
     sh = CocentShape((2, 1), (2, 1), F2)
     gens = reduced_action_generators((2, 1), F2)
-    sample = list(itertools.islice(sh.elements(), 0, None, 13))[:8]
+    sample = list(itertools.islice(cocent_elements(sh), 0, None, 13))[:8]
     for a in gens:
         for b in gens:
             ab = alg_mul(a, b)
@@ -133,7 +138,7 @@ def test_lift_equivariance_modulo_commutator_space(mu, nu):
     B = assemble(((p, nu),), F2)
     S = commutator_space(A, B)
     sh = CocentShape(mu, nu, F2)
-    for v in sh.elements():
+    for v in cocent_elements(sh):
         lv = lift(v, p, F2)
         for g in reduced_action_generators(mu, F2):
             G = embed(g, p, F2)

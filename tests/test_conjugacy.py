@@ -101,7 +101,7 @@ def test_orbit_count_memo_is_field_independent():
               ((2, 1), (2, 1)), ((3,), (2, 1)), ((2, 2), (2, 2))]
     from paraclasses.matrix_problem import enumerate_orbits
     for mu, nu in shapes:
-        memo = orbit_count_cached(mu, nu, F2)
+        memo = orbit_count_cached(mu, nu, F2, 1)
         for field in (F2, F3, F4):
             assert enumerate_orbits(mu, nu, field).count == memo
 
@@ -118,7 +118,7 @@ def test_one_power_side_closed_form_matches_the_sweep():
                 if field.order ** (a * len(nu)) > 1 << 20:
                     continue
                 for mu_, nu_ in (((1,) * a, nu), (nu, (1,) * a)):
-                    assert orbit_count_cached(mu_, nu_, field) == \
+                    assert orbit_count_cached(mu_, nu_, field, 1) == \
                         enumerate_orbits(mu_, nu_, field).count, (mu_, nu_, field)
                     compared += 1
     assert compared == 280

@@ -192,7 +192,7 @@ def test_pow_and_pth_root():
 
 def test_irreducibles_examples():
     F3, F2 = ff(3), ff(2)
-    assert [poly_str(f, F3) for f in irreducibles(1, F3, exclude_x=True)] \
+    assert [poly_str(f, F3) for f in irreducibles(1, F3) if f[0] != 0] \
         == ["1,1", "2,1"]
     assert irreducibles(2, F2) == ((1, 1, 1),)
     assert len(irreducibles(2, F3)) == 3
@@ -203,7 +203,29 @@ def test_irreducible_count_matches_enumeration(q):
     for d in range(1, 5):
         assert irreducible_count(d, q) == len(irreducibles(d, ff_order(q)))
     assert irreducible_count(1, q) - 1 == \
-        len(irreducibles(1, ff_order(q), exclude_x=True))
+        len([f for f in irreducibles(1, ff_order(q)) if f[0] != 0])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_irreducibles_and_moduli_match_a_full_lexicographic_scan(q):
+    # the scan starts at c_0 = 0 in every degree; the package's stream skips
+    # c_0 = 0 for d >= 2
+    F = ff_order(q)
+    for d in (d for d in range(1, 4) if q ** d <= 1000):
+        monic = (lows + (F.one,) for lows in itertools.product(F.elements(), repeat=d))
+        scan = tuple(f for f in monic if reference_is_irreducible(f, F))
+        assert irreducibles(d, F) == scan
+        if d > 1:
+            assert extension(F, d).modulus == scan[0]
+
+
+def test_count_over_a_field_of_order_two_to_the_twenty():
+    # the modulus of F_{2^20} is found without scanning the 2^19 multiples
+    # of t; the count agrees with the count polynomial at q = 2^20
+    from paraclasses.conjugacy import count_poly, parabolic_class_count
+    q = 2 ** 20
+    assert parabolic_class_count(2, 2, ff_order(q)) == count_poly(2, 2)(q) \
+        == 1208926972533934758297600
 
 
 def test_irreducible_quadratics_counted_by_root_scan():

@@ -101,7 +101,7 @@ def test_conjugator_certificates(field):
         a = random_invertible(field, n, rng)
         p = random_invertible(field, n, rng)
         b = p @ a @ p.inverse()
-        x = conjugator(a, b, seed=3)
+        x = conjugator(a, b)
         assert x is not None and x.is_invertible()
         assert x @ a @ x.inverse() == b
 
