@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from . import gf
@@ -276,8 +277,9 @@ def generators(lam, field: FiniteField) -> list:
     return out
 
 
-def reduced_action_generators(lam, field: FiniteField) -> list:
-    """A small generating set of the same unit group, for orbit kernels.
+def reduced_action_generators(lam, field: FiniteField) -> tuple:
+    """A small generating set of the same unit group, for orbit kernels,
+    memoized by partition and field once the partition is checked.
 
     Unit multiplications are cut down to a primitive scalar and the
     filtration units 1 + w^s x^t; additions to the monomial parameters
@@ -287,8 +289,11 @@ def reduced_action_generators(lam, field: FiniteField) -> list:
     Steinberg's relation [x_ij(a), x_jk(1)] = x_ik(a) rebuilds every other
     x_ik(w^s x^t) (Steinberg, Lectures on Chevalley Groups, 1967, §6).
     """
-    lam = check_partition(lam)
-    f = field
+    return _reduced_action_generators_memo(check_partition(lam), field)
+
+
+def _build_reduced_action_generators(lam: tuple, f: FiniteField) -> tuple:
+    """The uncached build behind reduced_action_generators."""
     out = []
     omega = f.primitive_element()
     basis = [f.pow(omega, s) for s in range(f.abs_degree)]
@@ -311,7 +316,10 @@ def reduced_action_generators(lam, field: FiniteField) -> list:
                 for t in range(min(lam[pr], lam[pc])):
                     for c in basis:
                         out.append(alg_from_entry(lam, f, pr, pc, (0,) * t + (c,)))
-    return out
+    return tuple(out)
+
+
+_reduced_action_generators_memo = lru_cache(maxsize=None)(_build_reduced_action_generators)
 
 
 # -- embedding into base-field matrices -------------------------------------

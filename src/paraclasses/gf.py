@@ -8,7 +8,8 @@ base field read low-to-high in mixed radix), which keeps them hashable and
 cheap.  Prime fields compute modulo p.  Extension fields of order up to
 1024 compute through dense op tables built with numpy from the base
 field's tables; larger ones through polynomial arithmetic on coefficient
-vectors modulo the modulus.
+vectors modulo the modulus.  Fields of order up to 1024 also keep the text
+of every element, formatted once.
 
 Polynomials are normalized tuples of element indices, low-to-high, with the
 zero polynomial represented by the empty tuple.  Irreducibility is Ben-Or's
@@ -235,6 +236,22 @@ class FiniteField:
         return {1: "w", 2: "u", 3: "v"}.get(depth, f"g{depth}")
 
     def element_str(self, a: int) -> str:
+        if self.order > _TABLE_LIMIT:
+            return self._format(a)
+        return self.names[a]
+
+    @cached_property
+    def names(self) -> list:
+        """Every element's text, by index.  Output prints the same few
+        elements thousands of times, so each is formatted once; like the op
+        tables, only for a field of order up to _TABLE_LIMIT.  Callers
+        share the list and must not mutate it."""
+        check_table_order(self.order)
+        return [self._format(a) for a in self.elements()]
+
+    def _format(self, a: int) -> str:
+        """The text of a: its base-field coefficients times powers of the
+        tower symbol, low to high, zero terms left out."""
         if self.base is None:
             return str(a)
         sym = self._symbol()

@@ -11,6 +11,7 @@ similar exactly when their forms agree; `conjugator` then certifies it.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -182,7 +183,11 @@ def enumerate_gjnf(n: int, field: FiniteField) -> Iterator[GJNF]:
     yield from rec(n, 0)
 
 
+@lru_cache(maxsize=None)
 def gjnf_to_json(form: GJNF, field: FiniteField) -> list:
+    """The form as a list of {"poly", "partition"} objects, memoized by form
+    and field: every representative of one Levi pair prints the same two
+    forms.  Callers share the returned list and must not mutate it."""
     return [{"poly": gf.poly_str(p, field), "partition": list(lam)}
             for p, lam in form]
 

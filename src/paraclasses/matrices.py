@@ -183,9 +183,10 @@ def direct_sum(*mats: Mat) -> Mat:
 
 
 def mat_str(m: Mat) -> str:
-    """Rows separated by ';', entries by spaces."""
-    f = m.field
-    return ";".join(" ".join(f.element_str(x) for x in row) for row in m.a.tolist())
+    """Rows separated by ';', entries by spaces, each read from the
+    field's list of element names."""
+    names = m.field.names
+    return ";".join(" ".join([names[x] for x in row]) for row in m.a.tolist())
 
 
 def mat_parse(s: str, field: FiniteField) -> Mat:

@@ -126,6 +126,30 @@ def reference_mul(field, a, b):
     return field.from_coeffs(out)
 
 
+def reference_element_str(field, a):
+    """The text of a field element, formatted on every call: its base-field
+    coefficients, low to high, each formatted by recursion down the tower
+    and bracketed when the base is itself an extension, times powers of the
+    tower symbol (w, u, v, then g4, g5, ... by depth); zero terms are left
+    out and the zero element is "0"."""
+    if field.base is None:
+        return str(a)
+    depth, f = 0, field
+    while f.base is not None:
+        depth, f = depth + 1, f.base
+    sym = {1: "w", 2: "u", 3: "v"}.get(depth, f"g{depth}")
+    B, terms = field.base.order, []
+    for i in range(field.degree):
+        c = a // B ** i % B
+        if not c:
+            continue
+        cs = reference_element_str(field.base, c)
+        if field.base.base is not None:
+            cs = f"({cs})"
+        terms.append(cs if i == 0 else f"{cs}*{sym}" if i == 1 else f"{cs}*{sym}^{i}")
+    return "+".join(terms) or "0"
+
+
 def reference_tables(field):
     """Add and mul tables of the field as nested lists, from reference_add
     and reference_mul over the upper triangle."""

@@ -8,10 +8,10 @@ from paraclasses.jordan import assemble, jordan_block
 from paraclasses.matrices import Mat
 from paraclasses.partitions import partitions
 from helpers import alg_add, alg_from_json, alg_zero, enumerate_algebra
-from paraclasses.centralizer import (AlgElement, alg_from_entry, alg_identity,
-                                     alg_is_unit, alg_mul, alg_to_json,
-                                     centralizer_dim, d_twist, embed, generators,
-                                     reduced_action_generators)
+from paraclasses.centralizer import (AlgElement, _build_reduced_action_generators,
+                                     alg_from_entry, alg_identity, alg_is_unit,
+                                     alg_mul, alg_to_json, centralizer_dim, d_twist,
+                                     embed, generators, reduced_action_generators)
 
 F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 
@@ -167,6 +167,20 @@ def test_generated_group_is_the_full_unit_group(lam, field):
 def test_reduced_generators_generate_the_same_group(lam, field):
     full = mulclose([g.realized for g in generators(lam, field)])
     assert mulclose(reduced_action_generators(lam, field)) == full
+
+
+def test_reduced_generators_are_built_once_per_partition_and_field():
+    gens = reduced_action_generators((3, 1, 1), F4)
+    assert isinstance(gens, tuple)
+    assert reduced_action_generators([3, 1, 1], F4) == gens
+    again = reduced_action_generators((3, 1, 1), F4)
+    fresh = _build_reduced_action_generators((3, 1, 1), F4)
+    assert again == fresh
+    assert [g.windows for g in again] == [g.windows for g in fresh]
+    assert reduced_action_generators((3, 1, 1), F2) != gens
+    for bad in [(1, 3, 1), (1, 3, 1), [3, 0], (3, 0)]:
+        with pytest.raises(ValueError):
+            reduced_action_generators(bad, F4)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -263,3 +264,17 @@ def test_counts_at_a_large_prime(capsys):
     code, out = _capture(capsys, ["classes", "parabolic", "--m", "2", "--n", "2",
                                   "--q", str(q)])
     assert code == 0 and json.loads(out)["count"] == count_poly(2, 2)(q)
+
+
+def test_every_benchmark_query_prints_its_recorded_digest(capsys):
+    # every CLI query of the benchmark pools, in one process, so the memos
+    # and name lists stay warm from one query to the next
+    expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "expected.json").read_text())
+    got = {}
+    for qid in expected:
+        rc = run(qid.split())
+        text = capsys.readouterr().out
+        got[qid] = {"lines": text.count("\n"), "rc": rc,
+                    "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    assert got == expected

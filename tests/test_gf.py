@@ -12,7 +12,7 @@ from paraclasses.gf import (FiniteField, extend, extension, ff, ff_order,
                             is_prime, padd, pdeg, pdivmod, pmul, pnormalize,
                             poly_factor, poly_parse, poly_str)
 
-from helpers import reference_is_irreducible, reference_tables
+from helpers import reference_element_str, reference_is_irreducible, reference_tables
 
 
 def _tower(p, e, d):
@@ -363,6 +363,34 @@ TOWER_FIELDS = [extension(ff_order(q), d) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13,
 def test_primitive_element_is_least_unit_of_full_order(field):
     assert field.primitive_element() == next(
         a for a in field.units() if _order(field, a) == field.order - 1)
+
+
+# the tower of test_element_text_roundtrip is _tower(2, 2, 2), in TABLE_FIELDS;
+# the last field is three extensions deep, so its symbol is v
+@pytest.mark.parametrize("field", TABLE_FIELDS + TOWER_FIELDS
+                         + [extension(_tower(2, 2, 2), 2)], ids=_field_id)
+def test_names_table_matches_the_reference_formatter(field):
+    expected = [reference_element_str(field, a) for a in field.elements()]
+    assert field.names == expected
+    assert [field.element_str(a) for a in field.elements()] == expected
+
+
+def test_large_prime_field_formats_without_a_names_table():
+    field = ff_order(1000000007)
+    assert field.element_str(12345) == "12345"
+    assert field.element_str(1000000006) == "1000000006"
+    assert "names" not in vars(field)
+    with pytest.raises(BudgetExceeded, match="F_1000000007"):
+        field.names
+
+
+def test_extension_past_the_table_limit_formats_without_a_names_table():
+    field = extension(ff(37), 2)
+    assert field.order == 1369
+    assert all(field.element_str(a) == reference_element_str(field, a)
+               for a in field.elements())
+    assert field.element_str(37 * 5 + 2) == "2+5*w"
+    assert "names" not in vars(field)
 
 
 def test_is_prime_and_mobius_match_brute_force():
