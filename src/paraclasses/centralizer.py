@@ -289,11 +289,12 @@ def reduced_action_generators(lam, field: FiniteField) -> tuple:
     Steinberg's relation [x_ij(a), x_jk(1)] = x_ik(a) rebuilds every other
     x_ik(w^s x^t) (Steinberg, Lectures on Chevalley Groups, 1967, §6).
     """
-    return _reduced_action_generators_memo(check_partition(lam), field)
+    return _reduced_action_generators(check_partition(lam), field)
 
 
-def _build_reduced_action_generators(lam: tuple, f: FiniteField) -> tuple:
-    """The uncached build behind reduced_action_generators."""
+@lru_cache(maxsize=None)
+def _reduced_action_generators(lam: tuple, f: FiniteField) -> tuple:
+    """The build behind reduced_action_generators; __wrapped__ is uncached."""
     out = []
     omega = f.primitive_element()
     basis = [f.pow(omega, s) for s in range(f.abs_degree)]
@@ -317,9 +318,6 @@ def _build_reduced_action_generators(lam: tuple, f: FiniteField) -> tuple:
                     for c in basis:
                         out.append(alg_from_entry(lam, f, pr, pc, (0,) * t + (c,)))
     return tuple(out)
-
-
-_reduced_action_generators_memo = lru_cache(maxsize=None)(_build_reduced_action_generators)
 
 
 # -- embedding into base-field matrices -------------------------------------

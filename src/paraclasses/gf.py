@@ -235,10 +235,15 @@ class FiniteField:
             f = f.base
         return {1: "w", 2: "u", 3: "v"}.get(depth, f"g{depth}")
 
-    def element_str(self, a: int) -> str:
+    @cached_property
+    def element_str(self):
+        """The function from an element to its text: a lookup in names up
+        to _TABLE_LIMIT, the formatter above it.  Below the limit it is the
+        list's own C-level __getitem__, so printing a matrix entry by entry
+        makes no Python call per entry."""
         if self.order > _TABLE_LIMIT:
-            return self._format(a)
-        return self.names[a]
+            return self._format
+        return self.names.__getitem__
 
     @cached_property
     def names(self) -> list:

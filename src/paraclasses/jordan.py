@@ -183,11 +183,15 @@ def enumerate_gjnf(n: int, field: FiniteField) -> Iterator[GJNF]:
     yield from rec(n, 0)
 
 
-@lru_cache(maxsize=None)
 def gjnf_to_json(form: GJNF, field: FiniteField) -> list:
-    """The form as a list of {"poly", "partition"} objects, memoized by form
-    and field: every representative of one Levi pair prints the same two
-    forms.  Callers share the returned list and must not mutate it."""
-    return [{"poly": gf.poly_str(p, field), "partition": list(lam)}
-            for p, lam in form]
+    """The form as a fresh list of {"poly", "partition"} objects."""
+    return [{"poly": p, "partition": list(lam)}
+            for p, lam in _gjnf_text(form, field)]
+
+
+@lru_cache(maxsize=None)
+def _gjnf_text(form: GJNF, field: FiniteField) -> tuple:
+    """(poly text, partition) per factor, memoized by form and field: every
+    representative of one Levi pair prints the same two forms."""
+    return tuple((gf.poly_str(p, field), lam) for p, lam in form)
 

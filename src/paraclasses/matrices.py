@@ -183,10 +183,9 @@ def direct_sum(*mats: Mat) -> Mat:
 
 
 def mat_str(m: Mat) -> str:
-    """Rows separated by ';', entries by spaces, each read from the
-    field's list of element names."""
-    names = m.field.names
-    return ";".join(" ".join([names[x] for x in row]) for row in m.a.tolist())
+    """Rows separated by ';', entries by spaces."""
+    s = m.field.element_str
+    return ";".join(" ".join(map(s, row)) for row in m.a.tolist())
 
 
 def mat_parse(s: str, field: FiniteField) -> Mat:

@@ -194,6 +194,16 @@ def test_reps_past_the_table_limit_exits_at_once(q):
                            f"field order {q * q}, budget 1024\n")
 
 
+@pytest.mark.parametrize("q", [1031, 1369, 2048])
+def test_agl_reps_past_the_table_limit_print_every_class(capsys, q):
+    # AGL(1, q) representatives need no op tables, so their text must not
+    # either: each is formatted on its own past the limit
+    code, out = _capture(capsys, ["classes", "agl", "--n", "1", "--q", str(q),
+                                  "--reps"])
+    assert code == 0
+    assert len(out.splitlines()) == q
+
+
 def test_gjnf_over_a_quadratic_extension_of_a_large_prime_field():
     # the modulus of F_{q^2} is found without building the q elements of
     # F_q, and the op tables of F_{q^2} are refused

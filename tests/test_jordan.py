@@ -124,3 +124,13 @@ def test_block_structure_of_assembled_matrix():
 def test_json_roundtrip():
     g = gjnf(mat_parse("0 1;1 0", F3))
     assert gjnf_from_json(gjnf_to_json(g, F3), F3) == g
+
+
+def test_json_is_a_fresh_list_on_every_call():
+    g = gjnf(mat_parse("1 0 0;1 1 0;0 0 2", F3))
+    first = gjnf_to_json(g, F3)
+    want = [dict(d, partition=list(d["partition"])) for d in first]
+    first[0]["poly"] = "x"
+    first[0]["partition"].append(9)
+    first.append({})
+    assert gjnf_to_json(g, F3) == want
