@@ -47,6 +47,11 @@ def jordan_block(p: Poly, n: int, field: FiniteField) -> Mat:
         raise ValueError("block multiplicity must be >= 1")
     if not gf.is_irreducible(p, field):
         raise ValueError("p must be irreducible")
+    return _block(p, n, field)
+
+
+def _block(p: Poly, n: int, field: FiniteField) -> Mat:
+    """jordan_block of a p known to be irreducible and an n >= 1."""
     d = gf.pdeg(p)
     c = companion(p, field)
     m = Mat.zeros(field, n * d, n * d)
@@ -68,11 +73,13 @@ def canonical_sort(factors) -> GJNF:
 
 
 def assemble(form: GJNF, field: FiniteField) -> Mat:
-    """Direct sum over factors of the per-part Jordan blocks."""
+    """Direct sum over factors of the per-part Jordan blocks.  Each
+    polynomial must be monic irreducible, as `enumerate_gjnf` and `gjnf`
+    give them; unlike `jordan_block`, this does not re-check it."""
     blocks = []
     for p, lam in canonical_sort(form):
         for part in lam:
-            blocks.append(jordan_block(p, part, field))
+            blocks.append(_block(p, part, field))
     if not blocks:
         return Mat.zeros(field, 0, 0)
     return direct_sum(*blocks)

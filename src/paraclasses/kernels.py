@@ -1,19 +1,26 @@
-"""The orbit kernel: a vectorized frontier BFS over packed generator actions.
+"""The orbit kernel: two whole-space sweeps and an orbit-local closure
+over packed generator actions.
 
 States are mixed-radix integers over the field order, first coefficient
 most significant, so ascending state order is lexicographic order on
-coefficient sequences.  Every group generator acts linearly; its action,
-read off the generator's windows as the rows where it is not the identity,
-is packed with a small table per row of the change it makes to a state and
-applied to a whole chunk of states at once.
+coefficient sequences.  Every generator acts linearly; its action, read
+off its windows as the rows where it is not the identity, is packed with
+a small table per row of the change it makes to a state.
 
-One expansion step serves both entry points: apply every generator to a
-chunk of the frontier, drop the images already visited, deduplicate the
-rest by sorting, and mark them.  `orbit_partition` keeps the visited set as
-a boolean array over the space, one byte per state, and takes seeds in
-ascending order, so each representative is its orbit's minimum.
-`orbit_closure` keeps the visited set as a sorted array, so its memory
-follows the one orbit it explores.
+`orbit_partition` gives each orbit's minimal state and size.  A space of
+at most one chunk is swept at once by min-label propagation: from
+label(s) = s, repeat label = min(label, label o g) for each generator g,
+then label = label o label, until nothing changes.  Labels only decrease
+and stay inside their orbit.  At the fixed point label(s) <= label(g s)
+for all s and g; g permutes a finite set, so the label is constant on
+the cycles of g, hence on the orbit, whose minimum keeps its own label.
+At one chunk the image table is no larger than the breadth-first search's
+chunk buffer; with the switch at 2^16 the reps benchmark's peak RSS rose
+from 36 to 49 MB.  A larger space is swept by breadth-first search from
+ascending seeds: apply every generator to a chunk of the frontier, drop
+the images already visited (one byte per state), deduplicate the rest by
+sorting, and mark them.  `orbit_closure` searches one orbit the same way,
+keeping its visited set as a sorted array.
 """
 
 from __future__ import annotations
@@ -128,15 +135,31 @@ def _next_unvisited(seen, start: int) -> int:
 
 
 def orbit_partition(pa: PackedActions, budget: int):
-    """Sweep the whole space: (reps ascending, sizes) of every orbit.
-
-    Reps are the minimal state of each orbit because seeds are taken in
-    ascending order.
-    """
-    space = pa.space()
-    if space > budget:
+    """(reps ascending, sizes) of every orbit, each rep its orbit's minimum."""
+    if (space := pa.space()) > budget:
         raise BudgetExceeded(space, budget)
-    seen = np.zeros(space, dtype=bool)
+    return _label_sweep(pa) if space <= _CHUNK else _bfs_sweep(pa)
+
+
+def _label_sweep(pa: PackedActions):
+    """orbit_partition of at most one chunk, by min-label propagation.
+    Without generators there are no images and every state is alone."""
+    states = np.arange(pa.space(), dtype=np.int64)
+    label, prev = states, None
+    for images in _expand(states, pa):
+        images = images.reshape(pa.n_gens, states.size)
+        while prev is None or not np.array_equal(label, prev):
+            prev = label
+            for img in images:
+                label = np.minimum(label, label[img])
+            label = label[label]
+    reps = np.flatnonzero(label == states)
+    return reps.tolist(), np.bincount(label)[reps].tolist()
+
+
+def _bfs_sweep(pa: PackedActions):
+    """orbit_partition by breadth-first search from ascending seeds."""
+    seen = np.zeros(pa.space(), dtype=bool)
     reps, sizes = [], []
     seed = 0
     while (seed := _next_unvisited(seen, seed)) >= 0:

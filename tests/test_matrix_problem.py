@@ -6,6 +6,7 @@ import pytest
 from paraclasses.gf import extend, extension, ff, irreducibles
 from paraclasses.cocentralizer import CocentElement, CocentShape, act_left, act_right
 from paraclasses.errors import BudgetExceeded
+from paraclasses.kernels import _CHUNK, _bfs_sweep, _label_sweep
 from paraclasses.matrix_problem import (canonical_form, decode, encode,
                                         enumerate_orbits, orbit_count,
                                         packed_actions, reduce_structured,
@@ -103,16 +104,22 @@ def test_finite_type_canonical_reps_have_zero_one_entries(mu, nu, field):
         assert all(c in (0, 1) for row in v.entries for e in row for c in e)
 
 
-@pytest.mark.parametrize("mu,nu,field", [((2, 1), (2, 1), F3),
-                                         ((4, 2), (4, 2), F2),
+# orbit_partition sweeps a space of at most _CHUNK = 16,384 states by label
+# propagation and a larger one by breadth-first search; every case but
+# (3,2)x(3,2) over F_3 falls on the label side
+@pytest.mark.parametrize("mu,nu,field", [((2, 1), (2, 1), F3),  # 243 states
+                                         ((4, 2), (4, 2), F2),  # 1,024
                                          ((1,), (1,), F2),  # no nontrivial actions
+                                         # 16,384 states: the largest label sweep
                                          ((4, 1), (3, 2), F4),
-                                         # 6,561 states: past the first scan block
-                                         ((2, 2, 1), (2, 1), F3),
-                                         # a rep 4,371 states past the one before
+                                         ((2, 2, 1), (2, 1), F3),  # 6,561
+                                         # 19,683 states, breadth-first: a rep
+                                         # 4,371 states past the one before, so
+                                         # past the first scan block
                                          ((3, 2), (3, 2), F3),
-                                         # three parts on the right: only the
-                                         # reference adds the outer two directly
+                                         # 729 states, three parts on the right:
+                                         # only the reference adds the outer two
+                                         # directly
                                          ((2, 1), (1, 1, 1), F3)])
 def test_kernel_matches_reference_sweep(mu, nu, field):
     sh = CocentShape(mu, nu, field)
@@ -124,6 +131,21 @@ def test_kernel_matches_reference_sweep(mu, nu, field):
         least = CocentElement.from_flat(sh, min(o))
         for flat in (min(o), max(o)):
             assert canonical_form(CocentElement.from_flat(sh, flat)) == least
+
+
+@pytest.mark.parametrize("field,total", [(F2, 6), (F3, 5), (F4, 5)])
+def test_label_sweep_matches_breadth_first_sweep(field, total):
+    # both sweeps of orbit_partition on every shape up to the given size,
+    # all at most one chunk, so on the label side of its switch; over F_2
+    # the first, (1,)x(1,), has no generators
+    shapes = [(mu, nu) for size in range(2, total + 1) for a in range(1, size)
+              for mu, nu in itertools.product(partitions(a), partitions(size - a))]
+    if field is F2:
+        assert packed_actions(CocentShape((1,), (1,), F2)).n_gens == 0
+    for mu, nu in shapes:
+        pa = packed_actions(CocentShape(mu, nu, field))
+        assert pa.space() <= _CHUNK
+        assert _label_sweep(pa) == _bfs_sweep(pa), (mu, nu)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F9])
