@@ -166,10 +166,7 @@ def alg_is_unit(b: AlgElement) -> bool:
     sizes = sorted(set(lam), reverse=True)
     for v in sizes:
         idx = [i for i, x in enumerate(lam) if x == v]
-        m = Mat.zeros(f, len(idx), len(idx))
-        for r, i in enumerate(idx):
-            for c, j in enumerate(idx):
-                m.a[r, c] = b.windows[i][j][0]
+        m = Mat.from_rows(f, [[b.windows[i][j][0] for j in idx] for i in idx])
         if not m.is_invertible():
             return False
     return True
@@ -328,14 +325,11 @@ def _mult_matrix(c: int, ext: FiniteField, base: FiniteField) -> Mat:
     if ext is base:
         return Mat.from_rows(base, [[c]])
     assert ext.base is base
-    d = ext.degree
-    m = Mat.zeros(base, d, d)
-    col_elt = c
-    for j in range(d):
-        for i, x in enumerate(ext.coeffs(col_elt)):
-            m.a[i, j] = x
-        col_elt = ext.mul(col_elt, ext.gen)
-    return m
+    cols = []
+    for _ in range(ext.degree):
+        cols.append(ext.coeffs(c))
+        c = ext.mul(c, ext.gen)
+    return Mat.from_rows(base, zip(*cols))
 
 
 def embed(b: AlgElement, p: Poly, base: FiniteField) -> Mat:
@@ -352,11 +346,8 @@ def embed(b: AlgElement, p: Poly, base: FiniteField) -> Mat:
     else:
         assert K.base is base and K.modulus == tuple(p)
     lam = b.lam
-    n = sum(lam) * d
-    offs = [0]
-    for v in lam:
-        offs.append(offs[-1] + v * d)
-    out = Mat.zeros(base, n, n)
+    offs = [0, *itertools.accumulate(v * d for v in lam)]
+    out = Mat.zeros(base, offs[-1], offs[-1])
     for i in range(len(lam)):
         for j in range(len(lam)):
             off = b.offset(i, j)

@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_partition, required=True,
                    metavar="PARTS", help="partition, e.g. 4,2")
     p.add_argument("--poly", default=None,
-                   help="irreducible eigenvalue polynomial, coefficients "
+                   help="monic irreducible eigenvalue polynomial, coefficients "
                         "low-to-high (default: degree 1)")
     p.add_argument("--list-generators", action="store_true")
 
@@ -121,7 +121,9 @@ def run(argv) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gjnf":
-        field = gf.extension(ff_order(args.q), max(args.ext, 1))
+        if args.ext < 1:
+            raise ValueError(f"--ext must be >= 1, got {args.ext}")
+        field = gf.extension(ff_order(args.q), args.ext)
         m = mat_parse(args.matrix, field)
         if m.rows != m.cols:
             raise ValueError("matrix must be square")
@@ -132,8 +134,8 @@ def _dispatch(args) -> int:
         field = ff_order(args.q)
         if args.poly is not None:
             p = poly_parse(args.poly, field)
-            if not gf.is_irreducible(p, field):
-                raise ValueError("--poly must be irreducible")
+            if not gf.is_irreducible(p, field) or p[-1] != field.one:
+                raise ValueError("--poly must be monic and irreducible")
         else:
             p = (field.neg(field.one), field.one)
         d = gf.pdeg(p)

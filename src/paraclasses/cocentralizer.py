@@ -23,6 +23,7 @@ brute-force oracle in the tests).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import gf
@@ -169,14 +170,8 @@ def lift(v: CocentElement, p: Poly, base: FiniteField) -> Mat:
         if K.modulus != tuple(p) and any(c >= base.order for c in v.flat()):
             raise ArithmeticError(f"{v!r} lifts at {p} only over its own field")
     mu, nu = sh.mu, sh.nu
-    m, n = sum(mu) * d, sum(nu) * d
-    roffs = [0]
-    for x in mu:
-        roffs.append(roffs[-1] + x * d)
-    coffs = [0]
-    for x in nu:
-        coffs.append(coffs[-1] + x * d)
-    out = Mat.zeros(base, m, n)
+    roffs, coffs = ([0, *itertools.accumulate(x * d for x in lam)] for lam in (mu, nu))
+    out = Mat.zeros(base, roffs[-1], coffs[-1])
     for i in range(len(mu)):
         for j in range(len(nu)):
             for a, c in enumerate(v.entries[i][j]):

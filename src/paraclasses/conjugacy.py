@@ -152,17 +152,15 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
                          budget: int = DEFAULT_BUDGET) -> Iterator[ClassRep]:
     """One assembled representative per conjugacy class.
 
-    Before the first is yielded, the budget is checked against the largest
-    space swept, (1^m)x(1^n) over the field itself, and the op tables of
-    the largest field needed, `gf.extension(field, min(m, n))`, are built,
-    their order checked before a modulus is searched for; the loop sweeps
-    that space and solves every degree-min(m, n) eigenvalue over that very
-    field.
+    Before the first is yielded, the array arithmetic of the largest field
+    needed, `gf.extension(field, min(m, n))`, is checked before a modulus
+    is searched for, and the budget against the largest space swept,
+    (1^m)x(1^n) over the field itself; the loop sweeps that space and
+    solves every degree-min(m, n) eigenvalue over that very field.
     """
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
-    gf.check_table_order(field.order ** min(m, n))
-    gf.extension(field, min(m, n)).tables()
+    field.check_arrays(min(m, n))
     enumerate_orbits((1,) * m, (1,) * n, field, budget)
     forms: dict = {}  # form -> (Jordan matrix, factor offsets)
     for ga, gb in levi_reps(m, n, field):

@@ -9,7 +9,8 @@ cheap.  Prime fields compute modulo p.  Extension fields of order up to
 1024 compute through dense op tables built with numpy from the base
 field's tables; larger ones through polynomial arithmetic on coefficient
 vectors modulo the modulus.  Fields of order up to 1024 also keep the text
-of every element, formatted once.
+of every element, formatted once.  Array arithmetic (`vadd`, `vneg`,
+`vmul`) is mod p or reads the op tables, which no other module touches.
 
 Polynomials are normalized tuples of element indices, low-to-high, with the
 zero polynomial represented by the empty tuple.  Irreducibility is Ben-Or's
@@ -33,6 +34,7 @@ from .errors import BudgetExceeded
 Poly = tuple  # tuple of element indices, low-to-high, no trailing zeros
 
 _TABLE_LIMIT = 1024  # largest field order for which dense op tables are built
+_INDEX_LIMIT = 2 ** 31 - 1  # largest prime whose indices fit int32 arrays
 
 
 def check_table_order(order: int) -> None:
@@ -179,6 +181,43 @@ class FiniteField:
             self._primitive = next(a for a in self.units() if all(
                 self.pow(a, n // r) != self.one for r in _prime_factors(n)))
         return self._primitive
+
+    # -- array arithmetic on element indices -----------------------------------
+
+    def check_arrays(self, d: int = 1) -> None:
+        """Refuse, as exceeding the budget, array arithmetic over
+        ``extension(self, d)``, before any modulus is searched for: an
+        extension field past _TABLE_LIMIT has no op tables, and the indices
+        of a prime field past _INDEX_LIMIT overflow int32 arrays."""
+        if self.base is not None or d > 1:
+            check_table_order(self.order ** d)
+        elif self.p > _INDEX_LIMIT:
+            raise BudgetExceeded(self.p, _INDEX_LIMIT, f"int32 arrays of F_{self.p}",
+                                 "field order {}")
+
+    def _array(self, a) -> np.ndarray:
+        """a as int64 indices of this prime field: sums and products stay exact."""
+        self.check_arrays()
+        return np.asarray(a, dtype=np.int64)
+
+    def vadd(self, a, b):
+        """a + b entrywise on numpy arrays or scalars of indices, broadcast:
+        mod p in a prime field, else through the op tables."""
+        if self.base is None:
+            return (self._array(a) + b) % self.p
+        return self.tables()["add"][a, b]
+
+    def vneg(self, a):
+        """-a entrywise, as ``vadd``."""
+        if self.base is None:
+            return -self._array(a) % self.p
+        return self.tables()["neg"][a]
+
+    def vmul(self, a, b):
+        """a * b entrywise, as ``vadd``."""
+        if self.base is None:
+            return self._array(a) * b % self.p
+        return self.tables()["mul"][a, b]
 
     # -- dense op tables -----------------------------------------------------
 

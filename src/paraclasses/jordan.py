@@ -135,25 +135,18 @@ def conjugator(a: Mat, b: Mat, retries: int = 1000) -> Optional[Mat]:
         return Mat.identity(field, 0)
     if gjnf(a) != gjnf(b):
         return None
-    # linear system X A - B X = 0 in the n^2 entries of X
-    nn = n * n
-    sys = Mat.zeros(field, nn, nn)
-    t = field.tables()
-    for i in range(n):
-        for j in range(n):
-            eq = i * n + j
-            for l in range(n):
-                sys.a[eq, i * n + l] = t["add"][sys.a[eq, i * n + l], a.a[l, j]]
-            for k in range(n):
-                sys.a[eq, k * n + j] = t["add"][sys.a[eq, k * n + j],
-                                                t["neg"][b.a[i, k]]]
+    # linear system X A - B X = 0 in the n^2 row-major entries of X, whose
+    # matrix is (I kron A^T) - (B kron I); indices 0 and 1 are zero and one
+    # in every field, so the Kronecker products hold valid indices
+    eye = np.eye(n, dtype=np.int32)
+    sys = Mat(field, field.vadd(np.kron(eye, a.a.T), np.kron(field.vneg(b.a), eye)))
     vecs = np.hstack([v.a for v in sys.kernel_basis()])  # nn x d
     q, d = field.order, vecs.shape[1]
     rng = random.Random(0xC0DE)
     for _ in range(retries):
-        acc = np.zeros(nn, dtype=np.int32)
+        acc = np.zeros(n * n, dtype=np.int32)
         for col in vecs.T:
-            acc = t["add"][acc, t["mul"][rng.randrange(q), col]]
+            acc = field.vadd(acc, field.vmul(rng.randrange(q), col))
         x = Mat(field, acc.reshape(n, n))
         if x.is_invertible():
             return x

@@ -36,8 +36,8 @@ def kernel_choice() -> str:
 
 
 class PackedActions:
-    """Sparse row-update form of linear generator actions, each given as
-    {row: {column: coefficient}} over the rows where it is not the identity.
+    """Sparse row-update form of linear generator actions over a field, each
+    given as {row: {column: coefficient}} over the rows where it is not the identity.
 
     ``gens[g]`` lists the rows that generator g changes, each as (columns,
     table): the columns are the row itself and every column it reads, and
@@ -48,12 +48,10 @@ class PackedActions:
 
     __slots__ = ("dim", "radix", "pows", "gens")
 
-    def __init__(self, dim, radix, actions, add_table, mul_table):
+    def __init__(self, dim, field, actions):
         self.dim = dim
-        self.radix = radix
+        self.radix = radix = field.order
         self.pows = radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        add = np.asarray(add_table, dtype=np.int64)
-        mul = np.asarray(mul_table, dtype=np.int64)
         self.gens = []
         seen = set()
         changes = {}  # (scalars, position of the row) -> change in the row's digit
@@ -70,7 +68,7 @@ class PackedActions:
                     digits = np.indices((radix,) * len(cols)).reshape(len(cols), -1)
                     new = np.zeros(digits.shape[1], dtype=np.int64)
                     for a, d in zip(ck[0], digits):
-                        new = add[new, mul[a, d]]
+                        new = field.vadd(new, field.vmul(a, d))
                     changes[ck] = new - digits[ck[1]]
                 rows.append((cols, changes[ck] * self.pows[r]))
             if rows:

@@ -1,9 +1,11 @@
 """Exact dense matrices over a finite field.
 
 Entries are field element indices stored in a numpy int32 array; row
-operations go through the field's dense op tables, so elimination stays
-exact and reasonably fast for the sizes this package needs (n up to a few
-dozen, systems up to a few hundred unknowns).
+operations go through the field's array arithmetic (`vadd`, `vneg`,
+`vmul`; mod p over a prime field whose indices fit int32, so no op
+tables), so elimination stays exact and reasonably fast for the sizes
+this package needs (n up to a few dozen, systems up to a few hundred
+unknowns).
 """
 
 from __future__ import annotations
@@ -68,33 +70,26 @@ class Mat:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _t(self):
-        return self.field.tables()
-
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
-        return Mat(self.field, self._t()["add"][self.a, other.a])
+        return Mat(self.field, self.field.vadd(self.a, other.a))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        t = self._t()
-        return Mat(self.field, t["add"][self.a, t["neg"][other.a]])
+        return self + -other
 
     def __neg__(self) -> "Mat":
-        return Mat(self.field, self._t()["neg"][self.a])
+        return Mat(self.field, self.field.vneg(self.a))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other, mul=True)
-        t = self._t()
-        add, mul = t["add"], t["mul"]
+        f = self.field
         out = np.zeros((self.rows, other.cols), dtype=np.int32)
         for k in range(self.cols):
-            term = mul[self.a[:, k][:, None], other.a[k, :][None, :]]
-            out = add[out, term]
-        return Mat(self.field, out)
+            out = f.vadd(out, f.vmul(self.a[:, k][:, None], other.a[k, :][None, :]))
+        return Mat(f, out)
 
     def scale(self, c: int) -> "Mat":
-        return Mat(self.field, self._t()["mul"][c, self.a])
+        return Mat(self.field, self.field.vmul(c, self.a))
 
     def _check(self, other, mul=False):
         if self.field is not other.field:
@@ -109,8 +104,7 @@ class Mat:
 
     def rref(self) -> tuple["Mat", list]:
         """Reduced row echelon form and the list of pivot columns."""
-        t = self._t()
-        add, mul, neg, inv = t["add"], t["mul"], t["neg"], t["inv"]
+        f = self.field
         a = self.a.copy()
         m, n = a.shape
         pivots = []
@@ -125,14 +119,12 @@ class Mat:
             if i != r:
                 a[[r, i]] = a[[i, r]]
             piv = int(a[r, c])
-            if piv != self.field.one:
-                a[r] = mul[int(inv[piv]), a[r]]
+            if piv != f.one:
+                a[r] = f.vmul(f.inv(piv), a[r])
             col = a[:, c].copy()
             col[r] = 0
-            rows_to_fix = np.nonzero(col)[0]
-            for i in rows_to_fix:
-                f = int(neg[a[i, c]])
-                a[i] = add[a[i], mul[f, a[r]]]
+            fix = np.nonzero(col)[0]
+            a[fix] = f.vadd(a[fix], f.vmul(f.vneg(a[fix, c])[:, None], a[r]))
             pivots.append(c)
             r += 1
         return Mat(self.field, a), pivots
@@ -145,13 +137,11 @@ class Mat:
         R, pivots = self.rref()
         n = self.cols
         free = [c for c in range(n) if c not in pivots]
-        t = self._t()
         out = []
         for fc in free:
             v = np.zeros((n, 1), dtype=np.int32)
             v[fc, 0] = self.field.one
-            for r, pc in enumerate(pivots):
-                v[pc, 0] = t["neg"][R.a[r, fc]]
+            v[pivots, 0] = self.field.vneg(R.a[:len(pivots), fc])
             out.append(Mat(self.field, v))
         return out
 
@@ -209,8 +199,6 @@ def char_poly(m: Mat) -> Poly:
     n = m.rows
     if n == 0:
         return (field.one,)
-    t = field.tables()
-    add, mul, neg, inv = t["add"], t["mul"], t["neg"], t["inv"]
     h = m.a.copy()
     for j in range(n - 2):
         nz = np.nonzero(h[j + 1:, j])[0]
@@ -220,24 +208,24 @@ def char_poly(m: Mat) -> Poly:
         if i != j + 1:
             h[[j + 1, i]] = h[[i, j + 1]]
             h[:, [j + 1, i]] = h[:, [i, j + 1]]
-        piv_inv = int(inv[h[j + 1, j]])
+        piv_inv = field.inv(int(h[j + 1, j]))
         for i in range(j + 2, n):
             if h[i, j] == 0:
                 continue
-            f = mul[h[i, j], piv_inv]
-            h[i] = add[h[i], mul[int(neg[f]), h[j + 1]]]
-            h[:, j + 1] = add[h[:, j + 1], mul[int(f), h[:, i]]]
-    # p_k = char poly of leading k x k Hessenberg block
+            f = field.mul(int(h[i, j]), piv_inv)
+            h[i] = field.vadd(h[i], field.vmul(field.neg(f), h[j + 1]))
+            h[:, j + 1] = field.vadd(h[:, j + 1], field.vmul(f, h[:, i]))
+    # p_k = char poly of leading k x k block, over Python ints: no overflow
+    h = h.tolist()
     polys = [(field.one,)]
     for k in range(1, n + 1):
-        tm = gf.pmul(polys[k - 1], (field.neg(h[k - 1, k - 1]), field.one), field)
-        acc = tm
+        acc = gf.pmul(polys[k - 1], (field.neg(h[k - 1][k - 1]), field.one), field)
         run = field.one
         for i in range(1, k):
-            run = field.mul(run, h[k - i, k - i - 1])
+            run = field.mul(run, h[k - i][k - i - 1])
             if run == field.zero:
                 break
-            coef = field.mul(h[k - i - 1, k - 1], run)
+            coef = field.mul(h[k - i - 1][k - 1], run)
             acc = gf.psub(acc, gf.pscale(coef, polys[k - i - 1], field), field)
         polys.append(acc)
     return polys[n]

@@ -67,8 +67,7 @@ def packed_actions(shape: CocentShape) -> PackedActions:
                for g in reduced_action_generators(shape.mu, K)]
     actions += [_changed_rows(g, shape, False)
                 for g in reduced_action_generators(shape.nu, K)]
-    t = K.tables()
-    return PackedActions(shape.dim, K.order, actions, t["add"], t["mul"])
+    return PackedActions(shape.dim, K, actions)
 
 
 def encode(v: CocentElement) -> int:

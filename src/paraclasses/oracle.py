@@ -62,25 +62,21 @@ def _gl_generators(field: FiniteField, n: int) -> list:
 
 
 class _VSpace:
-    """Index arithmetic for the additive group of m x n matrices."""
+    """Index arithmetic for the additive group of m x n matrices: an index
+    reads the entries as base-q digits, first most significant, so that
+    ``mats`` lists the matrices by index."""
 
     def __init__(self, field: FiniteField, m: int, n: int):
-        self.field = field
-        self.m, self.n = m, n
         self.size = field.order ** (m * n)
         self.mats = list(_all_matrices(field, m, n))
-        self._index = {v.a.tobytes(): i for i, v in enumerate(self.mats)}
-        t = field.tables()
+        self.pows = field.order ** np.arange(m * n - 1, -1, -1, dtype=np.int64)
+        assert all(self.index(self.mats[i]) == i for i in (0, self.size - 1))
         digits = np.array([v.a.reshape(-1) for v in self.mats], dtype=np.int64)
-        pows = field.order ** np.arange(m * n - 1, -1, -1, dtype=np.int64)
-        assert all(int(digits[i] @ pows) == i for i in (0, self.size - 1))
-        add = np.zeros((self.size, self.size), dtype=np.int64)
-        for k in range(m * n):
-            add += t["add"][digits[:, k][:, None], digits[None, :, k]] * pows[k]
-        self.add_index = add
+        self.add_index = sum(field.vadd(digits[:, k][:, None], digits[:, k]) * self.pows[k]
+                             for k in range(m * n))
 
     def index(self, v: Mat) -> int:
-        return self._index[v.a.tobytes()]
+        return int(v.a.reshape(-1) @ self.pows)
 
 
 @dataclass

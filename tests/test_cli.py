@@ -215,6 +215,44 @@ def test_gjnf_over_a_quadratic_extension_of_a_large_prime_field():
                            f"field order {q * q}, budget 1024\n")
 
 
+def test_matrix_and_orbit_work_over_a_prime_past_the_table_limit(capsys):
+    code, out = _capture(capsys, ["gjnf", "--q", "1031", "--matrix", "1 0;1 1"])
+    assert code == 0 and json.loads(out) == [{"poly": "1030,1", "partition": [2]}]
+    code, out = _capture(capsys, ["matprob", "orbits", "--q", "1031", "--mu", "1",
+                                  "--nu", "1"])
+    assert code == 0 and json.loads(out)["count"] == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "1", "--budget", "1000"], "(1)x(1) over F_1031 needs 1031 states, budget 1000"),
+    (["--n", "3"], "(1)x(1,1,1) over F_1031 needs 1095912791 states, budget 4194304")])
+def test_reps_past_the_table_limit_exit_on_the_state_budget(capsys, argv, message):
+    assert run(["classes", "parabolic", "--m", "1", "--q", "1031", "--reps", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"budget exceeded: {message}\n"
+
+
+def test_matrix_work_past_int32_indices_exits_3(capsys):
+    assert run(["gjnf", "--q", "2147483659", "--matrix", "1 0;1 1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("budget exceeded: int32 arrays of F_2147483659 needs "
+                                 "field order 2147483659, budget 2147483647\n")
+
+
+@pytest.mark.parametrize("ext", ["0", "-2"])
+def test_gjnf_rejects_an_extension_degree_below_one(capsys, ext):
+    assert run(["gjnf", "--q", "3", "--ext", ext, "--matrix", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --ext must be >= 1, got {ext}\n"
+
+
+@pytest.mark.parametrize("poly", ["1,2", "1,1,2"])
+def test_centralizer_rejects_a_non_monic_poly_at_every_degree(capsys, poly):
+    assert run(["centralizer", "--q", "3", "--lambda", "1", "--poly", poly]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --poly must be monic and irreducible\n"
+
+
 def test_reps_stream_line_by_line(capsys, monkeypatch):
     import paraclasses.cli
     real, calls = paraclasses.cli.class_rep_to_json, []

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -59,6 +60,16 @@ def test_class_rep_structure_invariants():
         assert (m.a[:2, :2] == a.a).all()
         assert (m.a[2:, 2:] == b.a).all()
         assert (m.a[2:, :2] == 0).all()
+
+
+def test_class_reps_past_the_table_limit():
+    # a prime field past 1024 computes mod p, so its first representatives
+    # are assembled without op tables
+    field = ff(1031)
+    reps = list(itertools.islice(parabolic_class_reps(1, 1, field), 40))
+    assert len(reps) == 40
+    for rep in reps:
+        assert rep.matrix.is_invertible() and rep.matrix[1, 0] == 0
 
 
 @pytest.mark.parametrize("m,n,field", [(2, 2, F3), (2, 3, F2)])
@@ -125,7 +136,6 @@ def test_one_power_side_closed_form_matches_the_sweep():
 
 
 def test_prime_powers_stream():
-    import itertools
     assert list(itertools.islice(prime_powers(), 10)) \
         == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 

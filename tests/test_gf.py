@@ -108,6 +108,46 @@ def test_tables_match_per_coefficient_reference(field):
     assert all(mul[a][t["inv"][a]] == 1 for a in field.units())
 
 
+PRIMES_TO_1021 = [p for p in range(2, 1022) if is_prime(p)]
+
+
+def test_array_ops_match_the_tables_on_every_prime_to_1021():
+    # all pairs up to 61, 2,000 drawn pairs above; each field is built
+    # directly, so its p x p tables are dropped after the comparison
+    rng = np.random.default_rng(1021)
+    for p in PRIMES_TO_1021:
+        field, t = FiniteField(p), FiniteField(p).tables()
+        if p <= 61:
+            a, b = np.arange(p)[:, None], np.arange(p)[None, :]
+        else:
+            a, b = rng.integers(0, p, 2000), rng.integers(0, p, 2000)
+        assert np.array_equal(field.vadd(a, b), t["add"][a, b]), p
+        assert np.array_equal(field.vmul(a, b), t["mul"][a, b]), p
+        assert np.array_equal(field.vneg(a), t["neg"][a]), p
+    assert len(PRIMES_TO_1021) == 172 and PRIMES_TO_1021[-1] == 1021
+
+
+@pytest.mark.parametrize("field", [ff(2, 2), ff(3, 2), _tower(2, 2, 2)], ids=_field_id)
+def test_extension_array_ops_read_the_tables(field):
+    els = np.arange(field.order)
+    a, b = els[:, None], els[None, :]
+    assert field.vadd(a, b).tolist() == [[field.add(x, y) for y in els] for x in els]
+    assert field.vmul(a, b).tolist() == [[field.mul(x, y) for y in els] for x in els]
+    assert field.vneg(els).tolist() == [field.neg(x) for x in els]
+
+
+def test_array_ops_refuse_what_int32_indices_or_tables_cannot_hold():
+    ff(2, 10).check_arrays()
+    with pytest.raises(BudgetExceeded, match="dense op tables of F_2048 needs"):
+        ff(2, 11).vadd(0, 1)
+    with pytest.raises(BudgetExceeded, match="dense op tables of F_1369 needs"):
+        ff(37).check_arrays(2)
+    ff(2147483647).check_arrays()
+    assert ff(2147483647).vmul(2147483646, 2147483646) == 1
+    with pytest.raises(BudgetExceeded, match="int32 arrays of F_2147483659 needs"):
+        ff(2147483659).vneg(1)
+
+
 @pytest.mark.parametrize("base,modulus", [
     (ff(2), ff(2, 3).modulus), (ff(3), ff(3, 2).modulus),
     (ff(2), ff(2, 4).modulus), (ff(2, 2), extension(ff(2, 2), 2).modulus)],

@@ -78,6 +78,19 @@ def test_round_trip_with_conjugator(field):
             assert gjnf(b) == g
 
 
+def test_round_trip_with_conjugator_past_the_table_limit():
+    # F_1031 has no op tables: Mat, char_poly and conjugator compute mod p
+    field, rng = ff(1031), random.Random(1031)
+    assert gjnf(mat_parse("1 0;1 1", field)) == (((1030, 1), (2,)),)
+    for n in (2, 3):
+        a = random_invertible(field, n, rng)
+        g = gjnf(a)
+        b = assemble(g, field)
+        x = conjugator(a, b)
+        assert x is not None and x @ a @ x.inverse() == b
+        assert gjnf(b) == g
+
+
 def test_conjugator_on_a_degree_two_eigenvalue():
     # p = t^2+t+1 over F_2: one Jordan block of size 2 is not two blocks
     # of size 1, though both have characteristic polynomial p^2
