@@ -32,6 +32,16 @@ def _partition(s: str) -> tuple:
         raise argparse.ArgumentTypeError(str(e))
 
 
+def _budget(s: str) -> int:
+    """A state budget: an integer >= 0."""
+    try:
+        if (n := int(s)) >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {s!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="paraclasses",
@@ -61,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mu", type=_partition, required=True)
     p.add_argument("--nu", type=_partition, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p = mps.add_parser("classify", help="finite/infinite/unknown type")
     p.add_argument("--mu", type=_partition, required=True)
     p.add_argument("--nu", type=_partition, required=True)
@@ -74,12 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--reps", action="store_true",
                    help="emit one representative per class (JSON lines)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--csv", action="store_true")
     p = cls.add_parser("count-poly", help="class count as a polynomial in q")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p = cls.add_parser("agl", help="classes of the affine group")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -91,11 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_ORACLE_BUDGET)
     p = orcs.add_parser("agl")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_ORACLE_BUDGET)
     return ap
 
 

@@ -130,14 +130,14 @@ class FiniteField:
 
     def add(self, a: int, b: int) -> int:
         if self.base is None:
-            return int(a + b) % self.p
+            return (int(a) + int(b)) % self.p
         if self.order > _TABLE_LIMIT:
             return self.from_coeffs(padd(self.coeffs(a), self.coeffs(b), self.base))
         return self._ops["add"][a][b]
 
     def neg(self, a: int) -> int:
         if self.base is None:
-            return int(-a) % self.p
+            return -int(a) % self.p
         if self.order > _TABLE_LIMIT:
             return self.from_coeffs(pneg(self.coeffs(a), self.base))
         return self._ops["neg"][a]
@@ -147,7 +147,7 @@ class FiniteField:
 
     def mul(self, a: int, b: int) -> int:
         if self.base is None:
-            return int(a * b) % self.p
+            return int(a) * int(b) % self.p
         if self.order > _TABLE_LIMIT:
             prod = pmul(self.coeffs(a), self.coeffs(b), self.base)
             return self.from_coeffs(pmod(prod, self.modulus, self.base))

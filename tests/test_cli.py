@@ -145,6 +145,23 @@ def test_budget_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["classes", "parabolic", "--m", "2", "--n", "2", "--q", "2"],
+    ["classes", "count-poly", "--m", "2", "--n", "2"],
+    ["matprob", "orbits", "--q", "2", "--mu", "1", "--nu", "1"],
+    ["oracle", "parabolic", "--m", "1", "--n", "1", "--q", "2"],
+    ["oracle", "agl", "--n", "1", "--q", "2"]])
+def test_negative_budget_is_malformed_input(capsys, argv):
+    # a negative budget is refused before any work, naming the flag; 0 is a
+    # budget like any other, so each of these commands, which all need
+    # states, exits 3 on it
+    assert run(argv + ["--budget", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --budget: must be an integer >= 0, got '-1'" in err
+    assert run(argv + ["--budget", "0"]) == 3
+    assert "budget 0" in capsys.readouterr().err
+
+
 def test_budget_message_names_shape_and_field(capsys):
     assert run(["matprob", "orbits", "--q", "3", "--mu", "1,1,1,1",
                 "--nu", "1,1,1,1", "--budget", "4194304"]) == 3

@@ -71,6 +71,20 @@ def test_arithmetic_examples():
     assert F3.inv(2) == 2
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_prime_field_scalar_ops_take_numpy_scalars_exactly(dtype):
+    # a product or sum of two int32 elements of F_1000003 overflows int32,
+    # so each argument goes to a Python int first
+    F = ff(1000003)
+    els = [0, 1, 2, 46341, 500001, 999999, 1000002]
+    for a, b in itertools.product(els, repeat=2):
+        assert F.add(dtype(a), dtype(b)) == F.add(a, b) == (a + b) % F.p
+        assert F.mul(dtype(a), dtype(b)) == F.mul(a, b) == a * b % F.p
+        assert F.sub(dtype(a), dtype(b)) == F.sub(a, b)
+        assert type(F.add(dtype(a), dtype(b))) is type(F.mul(dtype(a), dtype(b))) is int
+    assert all(F.neg(dtype(a)) == F.neg(a) == -a % F.p for a in els)
+
+
 @pytest.mark.parametrize("field", [ff(2), ff(3), ff(5), ff(7), ff(2, 2),
                                    ff(2, 3), ff(3, 2)])
 def test_field_axioms_exhaustive(field):
