@@ -74,7 +74,8 @@ class PackedActions:
     the row makes to the state.  Elementary generators read at most two
     digits per row, so the tables are small.  ``dtype`` is the kernel's
     integer type for states, int32 for a space past one chunk and below
-    2^31 and int64 otherwise; ``pows`` and the tables are built in it.
+    2^31 and int64 otherwise; ``pows`` and the tables are built in it.  A
+    space past 2^63 has no type and exceeds the budget.
     """
 
     __slots__ = ("dim", "radix", "dtype", "pows", "gens")
@@ -82,7 +83,9 @@ class PackedActions:
     def __init__(self, dim, field, actions):
         self.dim = dim
         self.radix = radix = field.order
-        self.dtype = dtype = np.int32 if _CHUNK < radix ** dim < 2 ** 31 else np.int64
+        if (space := radix ** dim) > 2 ** 63:
+            raise BudgetExceeded(space, 2 ** 63, "int64 states")
+        self.dtype = dtype = np.int32 if _CHUNK < space < 2 ** 31 else np.int64
         self.pows = radix ** np.arange(dim - 1, -1, -1, dtype=dtype)
         self.gens = []
         seen = set()
@@ -101,7 +104,7 @@ class PackedActions:
                     new = np.zeros(digits.shape[1], dtype=np.int64)
                     for a, d in zip(ck[0], digits):
                         new = field.vadd(new, field.vmul(a, d))
-                    changes[ck] = (new - digits[ck[1]]).astype(dtype, copy=False)
+                    changes[ck] = np.subtract(new, digits[ck[1]], dtype=dtype)
                 rows.append((cols, changes[ck] * self.pows[r]))
             if rows:
                 self.gens.append(rows)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from paraclasses.centralizer import reduced_action_generators
-from paraclasses.cocentralizer import CocentShape, act_left, act_right
+from paraclasses.cocentralizer import CocentElement, CocentShape, act_left, act_right
+from paraclasses.errors import BudgetExceeded
 from paraclasses.gf import ff
 from paraclasses.kernels import _CHUNK, _expand, orbit_partition
-from paraclasses.matrix_problem import decode, encode, packed_actions
+from paraclasses.matrix_problem import canonical_form, decode, encode, packed_actions
 
 F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 
@@ -39,6 +40,19 @@ def test_states_are_int32_past_one_chunk_and_below_two_to_the_31(mu, nu, field, 
                 | {encode(act_right(v, g)) for g in right})
         # generators that fix v, or act alike, are packed once or not at all
         assert set(images[:, i].tolist()) | {s} == want | {s}
+
+
+def test_a_space_past_two_to_the_63_has_no_state_type():
+    # 2^64 states: int64 radix powers would wrap, so a closure would read
+    # wrong digits; the kernel refuses the space instead
+    sh = CocentShape((1,) * 8, (1,) * 8, F2)
+    flat = [0] * sh.dim
+    flat[-1] = 1
+    for call in (lambda: packed_actions(sh),
+                 lambda: canonical_form(CocentElement.from_flat(sh, flat))):
+        with pytest.raises(BudgetExceeded, match="^int64 states needs "
+                           "18446744073709551616 states, budget 9223372036854775808$"):
+            call()
 
 
 def _peak_bound(pa) -> int:
