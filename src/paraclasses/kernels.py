@@ -129,7 +129,6 @@ def _apply_gen_batch(states, digits, pa: PackedActions, g: int, out) -> None:
         out += table[key]
 
 
-
 def _expand(frontier, pa: PackedActions):
     """Yield the images of frontier states under every generator, one
     chunk of the frontier at a time.  The digit and image buffers are
