@@ -10,11 +10,12 @@ a small table per row of the change it makes to a state.
 States, the powers of the radix and the change tables are int32 for a
 space past one chunk and below 2^31, and int64 otherwise; `PackedActions`
 decides once and the sweeps follow, while reps, sizes and the closure
-minimum leave the kernel as Python ints.  Nothing overflows: a
-generator's image is the state plus one change per row, each moving
-that row's digit from one value to another, so every partial sum is
-itself a state in [0, space).  Digits are intp, as they index the
-tables.  A space of at most one chunk stays int64: its label sweep
+minimum leave the kernel as Python ints.  A space past 2^63 fits no type;
+`matrix_problem.packed_actions` refuses it, naming the shape and field.
+Nothing overflows: a generator's image is the state plus one change per
+row, each moving that row's digit from one value to another, so every
+partial sum is itself a state in [0, space).  Digits are intp, as they
+index the tables.  A space of at most one chunk stays int64: its label sweep
 gathers labels by state at every step, numpy converts int32 indices to
 intp at each gather, and with int32 those sweeps took 20-25 % longer,
 while their arrays are bounded by the chunk anyway.
@@ -74,8 +75,8 @@ class PackedActions:
     the row makes to the state.  Elementary generators read at most two
     digits per row, so the tables are small.  ``dtype`` is the kernel's
     integer type for states, int32 for a space past one chunk and below
-    2^31 and int64 otherwise; ``pows`` and the tables are built in it.  A
-    space past 2^63 has no type and exceeds the budget.
+    2^31 and int64 otherwise; ``pows`` and the tables are built in it.  The
+    space must be at most 2^63.
     """
 
     __slots__ = ("dim", "radix", "dtype", "pows", "gens")
@@ -83,9 +84,7 @@ class PackedActions:
     def __init__(self, dim, field, actions):
         self.dim = dim
         self.radix = radix = field.order
-        if (space := radix ** dim) > 2 ** 63:
-            raise BudgetExceeded(space, 2 ** 63, "int64 states")
-        self.dtype = dtype = np.int32 if _CHUNK < space < 2 ** 31 else np.int64
+        self.dtype = dtype = np.int32 if _CHUNK < radix ** dim < 2 ** 31 else np.int64
         self.pows = radix ** np.arange(dim - 1, -1, -1, dtype=dtype)
         self.gens = []
         seen = set()
@@ -172,11 +171,9 @@ def _next_unvisited(seen, start: int) -> int:
     return -1
 
 
-def orbit_partition(pa: PackedActions, budget: int):
+def orbit_partition(pa: PackedActions):
     """(reps ascending, sizes) of every orbit, each rep its orbit's minimum."""
-    if (space := pa.space()) > budget:
-        raise BudgetExceeded(space, budget)
-    return _label_sweep(pa) if space <= _CHUNK else _bfs_sweep(pa)
+    return _label_sweep(pa) if pa.space() <= _CHUNK else _bfs_sweep(pa)
 
 
 def _label_sweep(pa: PackedActions):

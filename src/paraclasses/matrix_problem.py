@@ -7,8 +7,10 @@ output is deterministic and field-uniform for finite-type shapes.  The
 generators' actions are packed for the kernel straight from their windows.
 The orbit sets are the only memo of the orbit layer, kept by shape and
 field; the budget is checked before the memo is read, so a smaller budget
-still refuses a space an earlier call swept.  Counting asks for finite-type
-shapes over F_2 only, since their counts do not depend on the field.
+still refuses a space an earlier call swept.  Every limit of the layer is
+checked here, where the shape is known and named; the kernels refuse only
+a closure that outgrows its budget.  Counting asks for finite-type shapes
+over F_2 only, since their counts do not depend on the field.
 `reduce_structured` implements the textual greedy pivot reductions for
 row shapes (r) and (r, 1, ..., 1); the other finite-type families go
 through the generic sweep.  `type_classify` applies the proved finiteness
@@ -34,9 +36,9 @@ DEFAULT_BUDGET = 1 << 22
 _orbit_cache: dict = {}
 
 
-def _changed_rows(g: AlgElement, shape: CocentShape, left: bool) -> dict:
-    """{row: {column: coefficient}} over the flat coordinates of the shape
-    (in the order of ``shape.slots()``) where g's action is not the identity.
+def _changed_rows(g: AlgElement, shape: CocentShape, index: dict, left: bool) -> dict:
+    """{row: {column: coefficient}} over the flat coordinates of the shape,
+    ``index`` mapping each slot to its row, where g's action is not the identity.
 
     Entry (i, j) becomes sum_k g_ik v_kj on the left and sum_k v_ik w_kj,
     w = d_twist(g), on the right, truncated to l_ij: its x^a coefficient
@@ -44,7 +46,6 @@ def _changed_rows(g: AlgElement, shape: CocentShape, left: bool) -> dict:
     coefficient of v_kj (v_ik)."""
     w = g if left else d_twist(g)
     K = shape.field
-    index = {slot: r for r, slot in enumerate(shape.slots())}
     rows = {}
     for (i, j, a), r in index.items():
         row = {}
@@ -61,11 +62,14 @@ def _changed_rows(g: AlgElement, shape: CocentShape, left: bool) -> dict:
 
 def packed_actions(shape: CocentShape) -> PackedActions:
     """The reduced generator actions, packed for the kernels straight from
-    each generator's windows."""
+    each generator's windows; a space past 2^63 fits no state type."""
     K = shape.field
-    actions = [_changed_rows(g, shape, True)
+    if (space := K.order ** shape.dim) > 2 ** 63:
+        raise BudgetExceeded(space, 2 ** 63, _describe(shape))
+    index = {slot: r for r, slot in enumerate(shape.slots())}
+    actions = [_changed_rows(g, shape, index, True)
                for g in reduced_action_generators(shape.mu, K)]
-    actions += [_changed_rows(g, shape, False)
+    actions += [_changed_rows(g, shape, index, False)
                 for g in reduced_action_generators(shape.nu, K)]
     return PackedActions(shape.dim, K, actions)
 
@@ -113,7 +117,7 @@ def enumerate_orbits(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -
         raise BudgetExceeded(space, budget, _describe(shape))
     key = shape.key()
     if key not in _orbit_cache:
-        reps, sizes = orbit_partition(packed_actions(shape), budget)
+        reps, sizes = orbit_partition(packed_actions(shape))
         assert sum(sizes) == space
         _orbit_cache[key] = OrbitSet(shape, tuple(decode(r, shape) for r in reps),
                                      tuple(sizes))
@@ -130,7 +134,8 @@ def canonical_form(v: CocentElement, budget: int = DEFAULT_BUDGET) -> CocentElem
     try:
         mn, _ = orbit_closure(encode(v), pa, budget)
     except BudgetExceeded as e:
-        raise BudgetExceeded(e.required, e.budget, _describe(v.shape)) from None
+        raise BudgetExceeded(e.required, e.budget, _describe(v.shape),
+                             "at least {} states") from None
     return decode(mn, v.shape)
 
 

@@ -177,12 +177,9 @@ def oracle_classes(m: int, n: int, field: FiniteField,
             for coef in params:
                 w = Mat.zeros(field, m, n)
                 w.a[r, c] = coef
-                sh = np.empty((na, nb), dtype=np.int64)
-                wb = [vs.index(w @ g) for g in gl_n]
-                aw = [vs.index(-(g @ w)) for g in gl_m]
-                for i in range(na):
-                    for j in range(nb):
-                        sh[i, j] = vs.add_index[wb[j], aw[i]]
+                wb = np.array([vs.index(w @ g) for g in gl_n])
+                aw = np.array([vs.index(-(g @ w)) for g in gl_m])
+                sh = vs.add_index[wb[None, :], aw[:, None]]  # sh[i, j]: wb[j] + aw[i]
                 perms.append(ia * (nv * nb)
                              + vs.add_index[iv, sh[ia, ib]] * nb + ib)
 

@@ -162,6 +162,16 @@ def test_negative_budget_is_malformed_input(capsys, argv):
     assert "budget 0" in capsys.readouterr().err
 
 
+def test_space_past_two_to_the_63_exit_names_shape_and_field(capsys):
+    # the budget admits 2^64 states, but no state type holds them
+    assert run(["matprob", "orbits", "--q", "2", "--mu", "1,1,1,1,1,1,1,1",
+                "--nu", "1,1,1,1,1,1,1,1", "--budget", "100000000000000000000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("budget exceeded: (1,1,1,1,1,1,1,1)x(1,1,1,1,1,1,1,1) over F_2 "
+                   "needs 18446744073709551616 states, budget 9223372036854775808\n")
+
+
 def test_budget_message_names_shape_and_field(capsys):
     assert run(["matprob", "orbits", "--q", "3", "--mu", "1,1,1,1",
                 "--nu", "1,1,1,1", "--budget", "4194304"]) == 3

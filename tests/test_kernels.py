@@ -44,14 +44,15 @@ def test_states_are_int32_past_one_chunk_and_below_two_to_the_31(mu, nu, field, 
 
 def test_a_space_past_two_to_the_63_has_no_state_type():
     # 2^64 states: int64 radix powers would wrap, so a closure would read
-    # wrong digits; the kernel refuses the space instead
+    # wrong digits; packing refuses the space instead, naming the shape
     sh = CocentShape((1,) * 8, (1,) * 8, F2)
     flat = [0] * sh.dim
     flat[-1] = 1
     for call in (lambda: packed_actions(sh),
                  lambda: canonical_form(CocentElement.from_flat(sh, flat))):
-        with pytest.raises(BudgetExceeded, match="^int64 states needs "
-                           "18446744073709551616 states, budget 9223372036854775808$"):
+        with pytest.raises(BudgetExceeded, match=r"^\(1,1,1,1,1,1,1,1\)x\(1,1,1,1,1,1,1,1\) "
+                           "over F_2 needs 18446744073709551616 states, "
+                           "budget 9223372036854775808$"):
             call()
 
 
@@ -71,7 +72,7 @@ def test_sweep_peak_bytes_stay_under_the_docstring_bound(mu, nu, field):
     pa = packed_actions(CocentShape(mu, nu, field))
     tracemalloc.start()
     try:
-        reps, _ = orbit_partition(pa, pa.space())
+        reps, _ = orbit_partition(pa)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
