@@ -7,7 +7,6 @@ All output is deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -18,8 +17,11 @@ from .matrices import mat_parse, mat_str
 from .matrix_problem import (DEFAULT_BUDGET, enumerate_orbits, type_classify)
 from .centralizer import alg_to_json, centralizer_dim, generators
 from .cocentralizer import cocent_to_json
-from .conjugacy import (agl_class_count, agl_class_reps, class_rep_to_json,
+from .conjugacy import (_JSON, agl_class_count, agl_class_reps, class_rep_line,
                         count_poly, parabolic_class_count, parabolic_class_reps)
+# unused here, but bound by name: perfbench/layertrace.py requires a traced
+# run to wrap cli.class_rep_to_json
+from .conjugacy import class_rep_to_json  # noqa: F401
 from .errors import BudgetExceeded
 from .oracle import DEFAULT_ORACLE_BUDGET, oracle_agl, oracle_classes
 from .partitions import check_partition
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(obj):
-    print(json.dumps(obj, separators=(",", ":")))
+    print(_JSON.encode(obj))
 
 
 def run(argv) -> int:
@@ -193,7 +195,7 @@ def _dispatch(args) -> int:
                 # streamed: the budget is checked before the first line
                 for rep in parabolic_class_reps(args.m, args.n, field,
                                                 budget=args.budget):
-                    _emit(class_rep_to_json(rep, field))
+                    print(class_rep_line(rep, field))
                 return 0
             count = parabolic_class_count(args.m, args.n, field,
                                           budget=args.budget)

@@ -4,9 +4,13 @@ A class of the block group is located by a pair of Jordan forms (the Levi
 representative) together with one orbit representative of the per-eigenvalue
 matrix problem for every shared generalized eigenvalue; the assembled
 witness is [[A, V], [0, B]] with V the sum of the lifted blocks.
-Representatives reuse each form's assembled Jordan matrix and factor
-offsets across its Levi pairs, and lift each orbit representative once per
-Levi pair.  Counting never enumerates Levi pairs: the number of orbits at
+Representatives reuse each form's assembled Jordan array and factor
+offsets across its Levi pairs, place both forms into one array per Levi
+pair, and lift each (eigenvalue, orbit representative) once per call.
+Their JSON line, `class_rep_line`, joins text encoded once: each form's
+text is memoized by form and field, each block's by eigenvalue, orbit
+representative and field, so a class pays only for its matrix text and
+the join.  Counting never enumerates Levi pairs: the number of orbits at
 an eigenvalue depends only on its pair of partitions and its degree, so
 classes are counted by type, as the coefficient of x^m y^n in a product of
 one power series per degree raised to the number of irreducibles of that
@@ -24,19 +28,27 @@ count as an exact polynomial in the field size.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from . import gf
 from .gf import FiniteField, Poly, ff
 from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
                      factor_offsets, gjnf_to_json)
-from .matrices import Mat, direct_sum
+from .matrices import Mat, mat_str
 from .cocentralizer import cocent_to_json, lift, reduce_levi_pair
 from .matrix_problem import DEFAULT_BUDGET, enumerate_orbits, type_classify
 from .partitions import partitions
+
+# the one compact encoder of every output line (json.dumps with separators
+# builds a new encoder per call)
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def orbit_count_cached(mu, nu, field: FiniteField, d: int,
@@ -162,33 +174,60 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
         raise ValueError("block dimensions must be >= 1")
     field.check_arrays(min(m, n))
     enumerate_orbits((1,) * m, (1,) * n, field, budget)
-    forms: dict = {}  # form -> (Jordan matrix, factor offsets)
+    forms: dict = {}  # form -> (Jordan array, factor offsets)
+    lifts: dict = {}  # (eigenvalue, orbit rep) -> corner block array
     for ga, gb in levi_reps(m, n, field):
         for g in (ga, gb):
             if g not in forms:
-                forms[g] = assemble(g, field), factor_offsets(g, field)
+                forms[g] = assemble(g, field).a, factor_offsets(g, field)
         (a, ra), (b, cb) = forms[ga], forms[gb]
-        per_block = [[(pr.p, rep, lift(rep, pr.p, field))
-                      for rep in enumerate_orbits(pr.mu, pr.nu, pr.field, budget).reps]
-                     for pr in reduce_levi_pair(ga, gb, field)]
-        levi = direct_sum(a, b)
+        levi = np.zeros((m + n, m + n), dtype=np.int32)
+        levi[:m, :m] = a
+        levi[m:, m:] = b
+        per_block = []
+        for pr in reduce_levi_pair(ga, gb, field):
+            p, r0, c0 = pr.p, ra[pr.p], m + cb[pr.p]
+            choices = []
+            for rep in enumerate_orbits(pr.mu, pr.nu, pr.field, budget).reps:
+                if (p, rep) not in lifts:
+                    lifts[p, rep] = lift(rep, p, field).a
+                lf = lifts[p, rep]
+                cell = np.s_[r0:r0 + lf.shape[0], c0:c0 + lf.shape[1]]
+                choices.append(((p, rep), cell, lf))
+            per_block.append(choices)
         for combo in itertools.product(*per_block):
             g = levi.copy()
-            for p, _, lf in combo:
-                r0, c0 = ra[p], a.cols + cb[p]
-                g.a[r0:r0 + lf.rows, c0:c0 + lf.cols] = lf.a
-            yield ClassRep(ga, gb, tuple((p, rep) for p, rep, _ in combo), g)
+            for _, cell, lf in combo:
+                g[cell] = lf
+            yield ClassRep(ga, gb, tuple(blk for blk, _, _ in combo), Mat(field, g))
+
+
+@lru_cache(maxsize=None)
+def _form_text(form: GJNF, field: FiniteField) -> str:
+    """JSON text of a Levi form, memoized by form and field: every
+    representative of one Levi pair prints the same two forms."""
+    return _JSON.encode(gjnf_to_json(form, field))
+
+
+@lru_cache(maxsize=None)
+def _block_text(p: Poly, rep, field: FiniteField) -> str:
+    """JSON text of one corner block, memoized by eigenvalue, orbit
+    representative and field: a block recurs across classes and Levi pairs."""
+    return _JSON.encode({"poly": gf.poly_str(p, field), "rep": cocent_to_json(rep)})
+
+
+def class_rep_line(rep: ClassRep, field: FiniteField) -> str:
+    """The representative as one line of compact JSON: its two Levi forms,
+    a {"poly", "rep"} object per shared eigenvalue, and the matrix text."""
+    blocks = ",".join([_block_text(p, v, field) for p, v in rep.blocks])
+    return (f'{{"levi_a":{_form_text(rep.levi_a, field)},'
+            f'"levi_b":{_form_text(rep.levi_b, field)},"blocks":[{blocks}],'
+            f'"matrix":{_JSON.encode(mat_str(rep.matrix))}}}')
 
 
 def class_rep_to_json(rep: ClassRep, field: FiniteField) -> dict:
-    from .matrices import mat_str
-    return {
-        "levi_a": gjnf_to_json(rep.levi_a, field),
-        "levi_b": gjnf_to_json(rep.levi_b, field),
-        "blocks": [{"poly": gf.poly_str(p, field), "rep": cocent_to_json(v)}
-                   for p, v in rep.blocks],
-        "matrix": mat_str(rep.matrix),
-    }
+    """The representative as a fresh dict, parsed from `class_rep_line`."""
+    return json.loads(class_rep_line(rep, field))
 
 
 # -- class-count polynomials -------------------------------------------------

@@ -11,7 +11,6 @@ similar exactly when their forms agree; `conjugator` then certifies it.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -185,13 +184,4 @@ def enumerate_gjnf(n: int, field: FiniteField) -> Iterator[GJNF]:
 
 def gjnf_to_json(form: GJNF, field: FiniteField) -> list:
     """The form as a fresh list of {"poly", "partition"} objects."""
-    return [{"poly": p, "partition": list(lam)}
-            for p, lam in _gjnf_text(form, field)]
-
-
-@lru_cache(maxsize=None)
-def _gjnf_text(form: GJNF, field: FiniteField) -> tuple:
-    """(poly text, partition) per factor, memoized by form and field: every
-    representative of one Levi pair prints the same two forms."""
-    return tuple((gf.poly_str(p, field), lam) for p, lam in form)
-
+    return [{"poly": gf.poly_str(p, field), "partition": list(lam)} for p, lam in form]

@@ -351,6 +351,23 @@ def reference_class_count(m, n, field):
     return total
 
 
+def reference_class_rep_json(rep, field):
+    """A class representative as a dict built field by field from the
+    package's per-object writers and `mat_str` (the path `class_rep_line`'s
+    cached text pieces replaced)."""
+    from paraclasses.cocentralizer import cocent_to_json
+    from paraclasses.gf import poly_str
+    from paraclasses.jordan import gjnf_to_json
+    from paraclasses.matrices import mat_str
+    return {
+        "levi_a": gjnf_to_json(rep.levi_a, field),
+        "levi_b": gjnf_to_json(rep.levi_b, field),
+        "blocks": [{"poly": poly_str(p, field), "rep": cocent_to_json(v)}
+                   for p, v in rep.blocks],
+        "matrix": mat_str(rep.matrix),
+    }
+
+
 def prime_powers():
     """2, 3, 4, 5, 7, 8, 9, 11, ... without end."""
     q = 2

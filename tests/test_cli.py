@@ -125,6 +125,19 @@ def test_reps_roundtrip_through_schema(capsys):
         assert rep.matrix.is_invertible()
 
 
+def test_reps_print_the_reference_lines(capsys):
+    from helpers import reference_class_rep_json
+    from paraclasses.conjugacy import parabolic_class_reps
+    from paraclasses.gf import ff_order
+    code, out = _capture(capsys, ["classes", "parabolic", "--m", "2", "--n", "2",
+                                  "--q", "4", "--reps"])
+    field = ff_order(4)
+    want = "".join(json.dumps(reference_class_rep_json(rep, field),
+                              separators=(",", ":")) + "\n"
+                   for rep in parabolic_class_reps(2, 2, field))
+    assert code == 0 and out == want
+
+
 def test_deterministic_output(capsys):
     args = ["classes", "parabolic", "--m", "2", "--n", "2", "--q", "2",
             "--reps"]
@@ -282,7 +295,7 @@ def test_centralizer_rejects_a_non_monic_poly_at_every_degree(capsys, poly):
 
 def test_reps_stream_line_by_line(capsys, monkeypatch):
     import paraclasses.cli
-    real, calls = paraclasses.cli.class_rep_to_json, []
+    real, calls = paraclasses.cli.class_rep_line, []
 
     def failing_third(rep, field):
         calls.append(rep)
@@ -290,7 +303,7 @@ def test_reps_stream_line_by_line(capsys, monkeypatch):
             raise RuntimeError("third representative")
         return real(rep, field)
 
-    monkeypatch.setattr(paraclasses.cli, "class_rep_to_json", failing_third)
+    monkeypatch.setattr(paraclasses.cli, "class_rep_line", failing_third)
     with pytest.raises(RuntimeError):
         run(["classes", "parabolic", "--m", "1", "--n", "2", "--q", "2", "--reps"])
     assert len(capsys.readouterr().out.splitlines()) == 2

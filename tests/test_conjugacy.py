@@ -9,14 +9,15 @@ from paraclasses.gf import extension, ff, ff_order, pdeg
 from paraclasses.jordan import assemble, factor_offsets
 from paraclasses.matrices import Mat, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
-                                   class_rep_to_json, count_poly,
+                                   class_rep_line, class_rep_to_json, count_poly,
                                    gl_class_count, levi_reps,
                                    orbit_count_cached, parabolic_class_count,
                                    parabolic_class_reps)
 from paraclasses.oracle import oracle_agl, oracle_classes
 
 from helpers import (block, class_rep_from_json, prime_powers,
-                     reference_class_count, reference_count_poly)
+                     reference_class_count, reference_class_rep_json,
+                     reference_count_poly)
 
 F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 
@@ -72,10 +73,12 @@ def test_class_reps_past_the_table_limit():
         assert rep.matrix.is_invertible() and rep.matrix[1, 0] == 0
 
 
-@pytest.mark.parametrize("m,n,field", [(2, 2, F3), (2, 3, F2)])
+@pytest.mark.parametrize("m,n,field", [(2, 2, F3), (2, 3, F2), (2, 2, F4)])
 def test_class_reps_match_per_class_assembly(m, n, field):
     # every representative assembled from scratch: Levi blocks on the
-    # diagonal, each lifted orbit representative at its factor offsets
+    # diagonal, each lifted orbit representative at its factor offsets;
+    # over F_4 the degree-2 eigenvalues share one field and its orbit reps,
+    # so one memoized lift serves several eigenvalues
     for rep in parabolic_class_reps(m, n, field):
         a = assemble(rep.levi_a, field)
         b = assemble(rep.levi_b, field)
@@ -228,6 +231,16 @@ def test_agl_reps_biject_with_oracle(n, field):
     orc = oracle_agl(n, field)
     labels = [orc.class_of(r) for r in reps]
     assert len(labels) == len(set(labels)) == orc.count
+
+
+@pytest.mark.parametrize("m,n,field,limit", [
+    (1, 2, F2, None), (2, 2, F3, None), (2, 2, F4, None), (2, 2, ff(3, 2), None),
+    (1, 1, ff(1031), 40)])
+def test_class_rep_line_matches_the_reference_writer(m, n, field, limit):
+    reps = itertools.islice(parabolic_class_reps(m, n, field), limit)
+    for rep in reps:
+        want = json.dumps(reference_class_rep_json(rep, field), separators=(",", ":"))
+        assert class_rep_line(rep, field) == want
 
 
 def test_class_rep_json_roundtrip():
