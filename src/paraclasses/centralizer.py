@@ -293,8 +293,7 @@ def reduced_action_generators(lam, field: FiniteField) -> tuple:
 def _reduced_action_generators(lam: tuple, f: FiniteField) -> tuple:
     """The build behind reduced_action_generators; __wrapped__ is uncached."""
     out = []
-    omega = f.primitive_element()
-    basis = [f.pow(omega, s) for s in range(f.abs_degree)]
+    basis = f.additive_basis()
     seen_sizes = set()
     for pos, v in enumerate(lam):
         # one copy per size class suffices: transvections conjugate the
@@ -303,7 +302,7 @@ def _reduced_action_generators(lam: tuple, f: FiniteField) -> tuple:
             continue
         seen_sizes.add(v)
         if f.order > 2:
-            out.append(alg_from_entry(lam, f, pos, pos, (omega,)))
+            out.append(alg_from_entry(lam, f, pos, pos, (f.primitive_element(),)))
         for t in range(1, v):
             for c in basis:
                 a = (f.one,) + (0,) * (t - 1) + (c,)
@@ -318,18 +317,6 @@ def _reduced_action_generators(lam: tuple, f: FiniteField) -> tuple:
 
 
 # -- embedding into base-field matrices -------------------------------------
-
-
-def _mult_matrix(c: int, ext: FiniteField, base: FiniteField) -> Mat:
-    """Matrix of multiplication by c on ext, in the power basis over base."""
-    if ext is base:
-        return Mat.from_rows(base, [[c]])
-    assert ext.base is base
-    cols = []
-    for _ in range(ext.degree):
-        cols.append(ext.coeffs(c))
-        c = ext.mul(c, ext.gen)
-    return Mat.from_rows(base, zip(*cols))
 
 
 def embed(b: AlgElement, p: Poly, base: FiniteField) -> Mat:
@@ -355,12 +342,12 @@ def embed(b: AlgElement, p: Poly, base: FiniteField) -> Mat:
                 if c == K.zero:
                     continue
                 a = off + t
-                mm = _mult_matrix(c, K, base)
+                mm = K.mult_matrix(c, base)
                 for col in range(lam[j]):
                     row = col + a
                     if row >= lam[i]:
                         break
                     r0 = offs[i] + row * d
                     c0 = offs[j] + col * d
-                    out.a[r0:r0 + d, c0:c0 + d] = mm.a
+                    out.a[r0:r0 + d, c0:c0 + d] = mm
     return out

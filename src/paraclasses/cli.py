@@ -18,7 +18,8 @@ from .matrix_problem import (DEFAULT_BUDGET, enumerate_orbits, type_classify)
 from .centralizer import alg_to_json, centralizer_dim, generators
 from .cocentralizer import cocent_to_json
 from .conjugacy import (_JSON, agl_class_count, agl_class_reps, class_rep_line,
-                        count_poly, parabolic_class_count, parabolic_class_reps)
+                        count_poly, eigen_one_poly, parabolic_class_count,
+                        parabolic_class_reps)
 # unused here, but bound by name: perfbench/layertrace.py requires a traced
 # run to wrap cli.class_rep_to_json
 from .conjugacy import class_rep_to_json  # noqa: F401
@@ -149,7 +150,7 @@ def _dispatch(args) -> int:
             if not gf.is_irreducible(p, field) or p[-1] != field.one:
                 raise ValueError("--poly must be monic and irreducible")
         else:
-            p = (field.neg(field.one), field.one)
+            p = eigen_one_poly(field)
         d = gf.pdeg(p)
         K = extend(field, p)
         out = {

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import gf
 from .gf import FiniteField, Poly
 from .matrices import Mat
-from .centralizer import AlgElement, _grid, _mult_matrix, d_twist, truncated_product
+from .centralizer import AlgElement, _grid, d_twist, truncated_product
 from .partitions import check_partition
 
 
@@ -177,10 +177,9 @@ def lift(v: CocentElement, p: Poly, base: FiniteField) -> Mat:
             for a, c in enumerate(v.entries[i][j]):
                 if c == K.zero:
                     continue
-                mm = _mult_matrix(c, K, base)
                 r0 = roffs[i]
                 c0 = coffs[j] + (nu[j] - 1 - a) * d
-                out.a[r0:r0 + d, c0:c0 + d] = mm.a
+                out.a[r0:r0 + d, c0:c0 + d] = K.mult_matrix(c, base)
     return out
 
 

@@ -168,7 +168,13 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     needed, `gf.extension(field, min(m, n))`, is checked before a modulus
     is searched for, and the budget against the largest space swept,
     (1^m)x(1^n) over the field itself; the loop sweeps that space and
-    solves every degree-min(m, n) eigenvalue over that very field.
+    solves every degree-min(m, n) eigenvalue over that very field.  Both
+    checks stay though finite-type orbit representatives do not depend on
+    the field, since the Levi forms do: `levi_reps` lists every form of
+    both sides before the first line, and no other limit stops it.
+    Without them, `--m 2 --n 2 --q 1000000007 --reps` would test some
+    10^18 monic quadratics for irreducibility, and `--m 1 --n 3 --q 1031
+    --reps` some 10^9 monic cubics, with some 10^12 lines to follow.
     """
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
@@ -290,8 +296,9 @@ def agl_class_count(n: int, field: FiniteField) -> int:
     return sum(gl_class_count(n - d, field) for d in range(n + 1))
 
 
-def _eigen_one_poly(field: FiniteField) -> Poly:
-    return (field.neg(field.one), field.one)  # t - 1
+def eigen_one_poly(field: FiniteField) -> Poly:
+    """t - 1, the minimal polynomial of the eigenvalue 1."""
+    return (field.neg(field.one), field.one)
 
 
 def agl_class_reps(n: int, field: FiniteField) -> Iterator[Mat]:
@@ -305,7 +312,7 @@ def agl_class_reps(n: int, field: FiniteField) -> Iterator[Mat]:
     survives."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p1 = _eigen_one_poly(field)
+    p1 = eigen_one_poly(field)
     for d in range(n + 1):
         for g in enumerate_gjnf(n - d, field):
             if d == 0:

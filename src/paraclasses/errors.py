@@ -9,6 +9,5 @@ class BudgetExceeded(Exception):
     default."""
 
     def __init__(self, required, budget, what="enumeration", unit="{} states"):
-        self.required = required
-        self.budget = budget
+        self.required, self.budget, self.what, self.unit = required, budget, what, unit
         super().__init__(f"{what} needs {unit.format(required)}, budget {budget}")

@@ -5,12 +5,16 @@ monic irreducible modulus, so towers like F_4 = F_2(w) and K = F_4(u) are
 supported uniformly.  Field elements are plain integers: the index of the
 element in the field's canonical enumeration (coefficient vectors over the
 base field read low-to-high in mixed radix), which keeps them hashable and
-cheap.  Prime fields compute modulo p.  Extension fields of order up to
-1024 compute through dense op tables built with numpy from the base
-field's tables; larger ones through polynomial arithmetic on coefficient
-vectors modulo the modulus.  Fields of order up to 1024 also keep the text
-of every element, formatted once.  Array arithmetic (`vadd`, `vneg`,
-`vmul`) is mod p or reads the op tables, which no other module touches.
+cheap.  Prime fields compute modulo p.  An extension field of order up to
+1024 keeps one set of dense numpy op tables, built from the base field's
+tables, and both its scalar operations and its array arithmetic (`vadd`,
+`vneg`, `vmul`) read them; larger ones compute through polynomial
+arithmetic on coefficient vectors modulo the modulus.  Fields of order up
+to 1024 also keep the text of every element, formatted once.  Only this
+module reads an element's digits or the op tables: other modules take the
+d x d matrix of multiplication by an element over the base field from
+`mult_matrix`, and a basis over the prime field, the first powers of the
+primitive element, from `additive_basis`.
 
 Polynomials are normalized tuples of element indices, low-to-high, with the
 zero polynomial represented by the empty tuple.  Irreducibility is Ben-Or's
@@ -105,20 +109,12 @@ class FiniteField:
         if self.base is None:
             return (a,)
         B = self.base.order
-        out = []
-        for _ in range(self.degree):
-            a, r = divmod(a, B)
-            out.append(r)
-        return tuple(out)
+        return tuple(a // B ** i % B for i in range(self.degree))
 
     def from_coeffs(self, cs: Sequence[int]) -> int:
         if self.base is None:
             return cs[0] % self.p
-        B = self.base.order
-        a = 0
-        for c in reversed(list(cs)):
-            a = a * B + c
-        return a
+        return sum(c * self.base.order ** i for i, c in enumerate(cs))
 
     @property
     def gen(self) -> int:
@@ -133,14 +129,14 @@ class FiniteField:
             return (int(a) + int(b)) % self.p
         if self.order > _TABLE_LIMIT:
             return self.from_coeffs(padd(self.coeffs(a), self.coeffs(b), self.base))
-        return self._ops["add"][a][b]
+        return self.tables()["add"].item(a, b)
 
     def neg(self, a: int) -> int:
         if self.base is None:
             return -int(a) % self.p
         if self.order > _TABLE_LIMIT:
             return self.from_coeffs(pneg(self.coeffs(a), self.base))
-        return self._ops["neg"][a]
+        return self.tables()["neg"].item(a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -151,7 +147,7 @@ class FiniteField:
         if self.order > _TABLE_LIMIT:
             prod = pmul(self.coeffs(a), self.coeffs(b), self.base)
             return self.from_coeffs(pmod(prod, self.modulus, self.base))
-        return self._ops["mul"][a][b]
+        return self.tables()["mul"].item(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -160,7 +156,7 @@ class FiniteField:
             return pow(int(a), self.p - 2, self.p)
         if self.order > _TABLE_LIMIT:
             return self.pow(a, self.order - 2)
-        return self._ops["inv"][a]
+        return self.tables()["inv"].item(a)
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -181,6 +177,22 @@ class FiniteField:
             self._primitive = next(a for a in self.units() if all(
                 self.pow(a, n // r) != self.one for r in _prime_factors(n)))
         return self._primitive
+
+    def additive_basis(self) -> list:
+        """w^0, ..., w^(k-1) for the primitive element w and k the degree
+        over the prime field: a basis of the field over it ([1] over F_p)."""
+        omega = self.primitive_element()
+        return [self.pow(omega, s) for s in range(self.abs_degree)]
+
+    def mult_matrix(self, c: int, base: "FiniteField") -> np.ndarray:
+        """The d x d int32 array of multiplication by c over ``base``, this
+        field itself ([[c]]) or its base field; column k holds the base
+        digits of c * x^k for the adjoined generator x."""
+        if base is self:
+            return np.array([[c]], dtype=np.int32)
+        assert base is self.base, "multiplication matrices are over the base field"
+        return np.array([self.coeffs(self.mul(c, base.order ** k))  # c * x^k
+                         for k in range(self.degree)], dtype=np.int32).T
 
     # -- array arithmetic on element indices -----------------------------------
 
@@ -256,14 +268,6 @@ class FiniteField:
             self._tables = {"add": add, "mul": mul, "neg": neg, "inv": inv}
         return self._tables
 
-    @cached_property
-    def _ops(self) -> dict:
-        """The tables as nested Python lists, whose scalar lookups are
-        several times faster than indexing numpy arrays.  Entries share
-        one int object per element."""
-        ints = np.arange(self.order).astype(object)
-        return {k: ints[t].tolist() for k, t in self.tables().items()}
-
     # -- printing / parsing -----------------------------------------------
 
     def _symbol(self) -> str:
@@ -315,6 +319,10 @@ class FiniteField:
         return "+".join(terms) if terms else "0"
 
     def element_parse(self, s: str) -> int:
+        """The element named by s in the text `_format` writes: terms c,
+        c*x or c*x^i joined by '+', c a base-field element, parenthesized
+        in a tower, and x the tower symbol with 0 <= i < degree.  Raises
+        ValueError, naming the term, on any other text."""
         s = s.strip()
         if self.base is None:
             return int(s) % self.p
@@ -324,23 +332,17 @@ class FiniteField:
             term = term.strip()
             if term == "0":
                 continue
-            if term.startswith("("):
-                close = term.index(")")
-                coeff_s, rest = term[1:close], term[close + 1:]
-                power_s = rest.lstrip("*")
-            elif term.startswith(sym):
+            coeff_s, power_s = term, ""
+            if term == sym or term.startswith(sym + "^"):
                 coeff_s, power_s = "1", term
-            elif "*" in term:
-                coeff_s, power_s = term.rsplit("*", 1)
-            else:
-                coeff_s, power_s = term, ""
-            if power_s == "":
-                i = 0
-            elif power_s == sym:
-                i = 1
-            else:
-                assert power_s.startswith(sym + "^"), f"bad term {term!r}"
-                i = int(power_s[len(sym) + 1:])
+            elif (star := term.rfind("*")) > term.rfind(")"):
+                coeff_s, power_s = term[:star], term[star + 1:]
+            if coeff_s.startswith("(") and coeff_s.endswith(")"):
+                coeff_s = coeff_s[1:-1]
+            head, _, exp = power_s.partition("^")
+            i = int(exp) if head == sym and exp.isdecimal() else {"": 0, sym: 1}.get(power_s)
+            if i is None or i >= self.degree:
+                raise ValueError(f"bad term {term!r} of {self!r}")
             cs[i] = self.base.add(cs[i], self.base.element_parse(coeff_s))
         return self.from_coeffs(cs)
 

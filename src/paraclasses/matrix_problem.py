@@ -62,8 +62,15 @@ def _changed_rows(g: AlgElement, shape: CocentShape, index: dict, left: bool) ->
 
 def packed_actions(shape: CocentShape) -> PackedActions:
     """The reduced generator actions, packed for the kernels straight from
-    each generator's windows; a space past 2^63 fits no state type."""
+    each generator's windows.  Refused, naming the shape, are a field
+    without array arithmetic and a space past 2^63, which fits no state
+    type."""
     K = shape.field
+    try:
+        K.check_arrays()
+    except BudgetExceeded as e:
+        raise BudgetExceeded(e.required, e.budget, f"{_describe(shape)}: {e.what}",
+                             e.unit) from None
     if (space := K.order ** shape.dim) > 2 ** 63:
         raise BudgetExceeded(space, 2 ** 63, _describe(shape))
     index = {slot: r for r, slot in enumerate(shape.slots())}

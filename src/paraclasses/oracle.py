@@ -32,20 +32,13 @@ def _gl_elements(field: FiniteField, n: int) -> list:
     return [m for m in _all_matrices(field, n, n) if m.is_invertible()]
 
 
-def _additive_basis(field: FiniteField) -> list:
-    """Powers of a primitive element (1 over F_2) that span the field over
-    its prime field."""
-    omega = field.primitive_element()
-    return [field.pow(omega, s) for s in range(field.abs_degree)]
-
-
 def _gl_generators(field: FiniteField, n: int) -> list:
     """Transvections with parameters spanning the field additively, plus one
     primitive diagonal scaling."""
     out = []
     if n == 0:
         return out
-    params = _additive_basis(field)
+    params = field.additive_basis()
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -171,7 +164,7 @@ def oracle_classes(m: int, n: int, field: FiniteField,
         pv = np.array([vs.index(v @ qinv) for v in vs.mats], dtype=np.int64)
         perms.append(ia * (nv * nb) + pv[iv] * nb + pb[ib])
     # unipotent generators: v -> v + wB - Aw
-    params = _additive_basis(field)
+    params = field.additive_basis()
     for r in range(m):
         for c in range(n):
             for coef in params:

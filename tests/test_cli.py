@@ -100,6 +100,19 @@ def test_table_limit_exit_names_field(capsys):
     assert out == ""
     assert "dense op tables of F_2048 needs field order 2048, budget 1024" in err
     assert "states" not in err
+    assert "(1)x(1) over F_2048" in err
+
+
+@pytest.mark.parametrize("argv,term", [
+    (["gjnf", "--q", "4", "--matrix", "w^2 0;0 1"], "w^2"),
+    (["centralizer", "--q", "4", "--lambda", "2", "--poly", "w^3,1"], "w^3"),
+    (["gjnf", "--q", "4", "--matrix", "3*u 0;0 1"], "3*u"),
+    (["gjnf", "--q", "4", "--matrix", "w^-1 0;0 1"], "w^-1")])
+def test_malformed_element_text_is_malformed_input(capsys, argv, term):
+    # an exponent outside [0, 2) or a symbol other than w names its term
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad term {term!r} of GF(2^2)\n"
 
 
 def test_agl_and_oracle_commands(capsys):

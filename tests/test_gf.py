@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from paraclasses.gf import (FiniteField, extend, extension, ff, ff_order,
                             irreducible_count, irreducibles, is_irreducible,
                             is_prime, padd, pdeg, pdivmod, pmul, pnormalize,
                             poly_factor, poly_parse, poly_str)
+from paraclasses.jordan import companion
+from paraclasses.matrices import Mat
 
 from helpers import reference_element_str, reference_is_irreducible, reference_tables
 
@@ -111,15 +114,68 @@ TABLE_FIELDS = ([ff(p, e) for p in range(2, 257) if is_prime(p)
                 + [_tower(2, 2, 2), _tower(2, 2, 3), _tower(2, 3, 2), _tower(3, 2, 2)])
 
 
+def _scalar_tables(field):
+    """The op tables as the scalar add/mul/neg/inv compute them, entry by entry."""
+    els = field.elements()
+    return {"add": np.array([[field.add(a, b) for b in els] for a in els], dtype=np.int32),
+            "mul": np.array([[field.mul(a, b) for b in els] for a in els], dtype=np.int32),
+            "neg": np.array([field.neg(a) for a in els], dtype=np.int32),
+            "inv": np.array([0] + [field.inv(a) for a in field.units()], dtype=np.int32)}
+
+
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=_field_id)
 def test_tables_match_per_coefficient_reference(field):
     add, mul = reference_tables(field)
-    t = field.tables()
-    assert all(a.dtype == np.int32 for a in t.values())
-    assert t["add"].tolist() == add
-    assert t["mul"].tolist() == mul
-    assert all(add[a][t["neg"][a]] == 0 for a in field.elements())
-    assert all(mul[a][t["inv"][a]] == 1 for a in field.units())
+    for t in (field.tables(), _scalar_tables(field)):
+        assert all(a.dtype == np.int32 for a in t.values())
+        assert t["add"].tolist() == add
+        assert t["mul"].tolist() == mul
+        assert all(add[a][t["neg"][a]] == 0 for a in field.elements())
+        assert all(mul[a][t["inv"][a]] == 1 for a in field.units())
+
+
+def test_primitive_element_retains_only_the_numpy_tables():
+    # a fresh F_169, so nothing is cached: its int32 add, mul, neg and inv
+    # tables hold about 224 KiB, and no other copy of them is kept
+    F = FiniteField(13, ff(13), ff(13, 2).modulus)
+    tracemalloc.start()
+    try:
+        F.primitive_element()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 300 * 1024
+
+
+@pytest.mark.parametrize("field", [ff(2, 2), ff(3, 2), _tower(2, 2, 2), ff(2, 11)],
+                         ids=_field_id)
+def test_mult_matrix_is_a_ring_map_into_base_matrices(field):
+    base = field.base
+    assert (field.mult_matrix(field.gen, base) == companion(field.modulus, base).a).all()
+    rng = random.Random(field.order)
+    pairs = (itertools.product(field.elements(), repeat=2) if field.order <= 16 else
+             [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(40)])
+    for a, b in pairs:
+        m = field.mult_matrix(field.mul(a, b), base)
+        assert m.dtype == np.int32 and m.shape == (field.degree, field.degree)
+        assert Mat(base, m) == Mat(base, field.mult_matrix(a, base)) @ Mat(
+            base, field.mult_matrix(b, base))
+        assert field.mult_matrix(a, field).tolist() == [[a]]
+
+
+@pytest.mark.parametrize("field", [ff(5), ff(2, 3), ff(3, 2), _tower(2, 2, 2)],
+                         ids=_field_id)
+def test_additive_basis_spans_the_field_over_the_prime_field(field):
+    basis = field.additive_basis()
+    omega = field.primitive_element()
+    assert basis == [field.pow(omega, s) for s in range(field.abs_degree)]
+    sums = set()
+    for cs in itertools.product(range(field.p), repeat=len(basis)):
+        acc = field.zero
+        for c, b in zip(cs, basis):
+            acc = field.add(acc, field.mul(c, b))
+        sums.add(acc)
+    assert sums == set(field.elements())
 
 
 PRIMES_TO_1021 = [p for p in range(2, 1022) if is_prime(p)]
@@ -221,9 +277,22 @@ def test_inverse_of_zero_raises():
 
 def test_element_text_roundtrip():
     K = extend(ff(2, 2), irreducibles(2, ff(2, 2))[0])
-    for field in (ff(2), ff(5), ff(2, 2), ff(3, 2), ff(2, 3), K):
+    for field in (ff(2), ff(5), ff(2, 2), ff(3, 2), ff(2, 3), K, extension(K, 2)):
         for a in field.elements():
             assert field.element_parse(field.element_str(a)) == a
+
+
+@pytest.mark.parametrize("field", [ff(5), ff(2, 2), _tower(2, 2, 2), ff(2, 11)],
+                         ids=_field_id)
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet="0123-wuv^*()+ ", max_size=14) | st.text(max_size=6))
+def test_element_text_parses_or_raises_value_error(field, text):
+    try:
+        a = field.element_parse(text)
+    except ValueError:
+        return
+    assert 0 <= a < field.order
+    assert field.element_parse(field.element_str(a)) == a
 
 
 def test_irreducibles_bad_degree():
