@@ -14,12 +14,14 @@ the join.  Counting never enumerates Levi pairs: the number of orbits at
 an eigenvalue depends only on its pair of partitions and its degree, so
 classes are counted by type, as the coefficient of x^m y^n in a product of
 one power series per degree raised to the number of irreducibles of that
-degree.  A shape with a side (1^a) is counted in closed form, the number
-of positions of a row space of dimension <= a relative to a partial flag
-(proof in `orbit_count_cached`), and is never swept.  Other orbit counts
-come from the one orbit memo of `enumerate_orbits`, keyed by shape and
-field and shared with representatives (both solve a degree-d eigenvalue
-over `gf.extension(F_q, d)`); finite-type shapes are solved over F_2,
+degree.  A shape with a side (1^a) is never swept: its orbits are the
+cells of `_bruhat_cells`, the positions of a row space of dimension <= a
+relative to a partial flag (proof there), which counts read as a number
+and representatives, through `orbit_reps`, as partial permutation
+matrices.  Other orbit counts and representatives come from the one orbit
+memo of `enumerate_orbits`, keyed by shape and field and shared by both
+(both solve a degree-d eigenvalue over `gf.extension(F_q, d)`); for
+counts, finite-type shapes are solved over F_2,
 sound by field independence (checked in the tests), and with the number
 of irreducibles written as a polynomial in q the same sum gives the class
 count as an exact polynomial in the field size.
@@ -42,8 +44,9 @@ from .gf import FiniteField, Poly, ff
 from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
                      factor_offsets, gjnf_to_json)
 from .matrices import Mat, mat_str
-from .cocentralizer import cocent_to_json, lift, reduce_levi_pair
-from .matrix_problem import DEFAULT_BUDGET, enumerate_orbits, type_classify
+from .cocentralizer import (CocentElement, CocentShape, cocent_to_json, lift,
+                            reduce_levi_pair)
+from .matrix_problem import DEFAULT_BUDGET, check_space, enumerate_orbits, type_classify
 from .partitions import partitions
 
 # the one compact encoder of every output line (json.dumps with separators
@@ -51,38 +54,87 @@ from .partitions import partitions
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-def orbit_count_cached(mu, nu, field: FiniteField, d: int,
-                       budget: int = DEFAULT_BUDGET) -> int:
-    """Orbit count of the (mu, nu) problem at a degree-d eigenvalue over
-    the field: in closed form when a side is (1^a), where nothing is swept,
-    so the budget does not apply; solved over F_2 for finite-type shapes
-    (their counts do not depend on the field); otherwise solved over
-    `gf.extension(field, d)`, the field representatives use, sharing its
-    memo entries.
+def _bruhat_cells(mu, nu):
+    """The cells (r_1..r_k) of a shape with a side (1^a), None for any other
+    shape: with m_1..m_k the multiplicities of the distinct parts of the
+    other side, in descending order of part, every tuple with
+    0 <= r_i <= m_i and sum r_i <= a.  They are its orbits.
 
-    Closed form: let mu = (1^a) and let m_1..m_k be the multiplicities of
-    the distinct parts of nu; then the count is the number of (r_1..r_k)
-    with 0 <= r_i <= m_i and sum r_i <= a, and symmetrically for nu = (1^b).
-    Proof: every entry has length min(1, nu_j) = 1, so the space is the
-    a x l(nu) matrices over K, and Aut((1^a)) acts on the left as all of
-    GL_a.  On the right only the constant terms of Aut(nu) survive the
-    truncation.  An entry between parts of different sizes has offset 0,
-    so a constant term, in one direction only; the constant terms thus
-    make up the parabolic P of GL_{l(nu)} that fixes the flag
-    F_1 < ... < F_k whose quotients F_i / F_{i-1} gather the m_i parts of
-    one size, ordered by size, with Levi factor prod GL_{m_i}, and every
-    element of P occurs.  GL_a reduces a matrix to its row space W, of any
-    dimension <= a, and the P-orbits of subspaces are their positions
-    relative to the flag (the Bruhat decomposition of the Grassmannian):
-    the tuples r_i = dim(W & F_i) - dim(W & F_{i-1}), each with
-    0 <= r_i <= m_i, all of which occur.
+    Proof, for mu = (1^a) (nu = (1^b) is the transpose): every entry has
+    length min(1, nu_j) = 1, so the space is the a x l(nu) matrices over K,
+    and Aut((1^a)) acts on the left as all of GL_a.  On the right only the
+    constant terms of Aut(nu) survive the truncation.  An entry between
+    parts of different sizes has offset 0, so a constant term, in one
+    direction only; the constant terms thus make up the parabolic P of
+    GL_{l(nu)} that fixes the flag F_1 < ... < F_k whose quotients
+    F_i / F_{i-1} gather the m_i parts of one size, ordered by size, with
+    Levi factor prod GL_{m_i}, and every element of P occurs.  GL_a reduces
+    a matrix to its row space W, of any dimension <= a, and the P-orbits of
+    subspaces are their positions relative to the flag (the Bruhat
+    decomposition of the Grassmannian): the tuples
+    r_i = dim(W & F_i) - dim(W & F_{i-1}), each with 0 <= r_i <= m_i, all
+    of which occur.
     """
     for side, other in ((mu, nu), (nu, mu)):
         if set(side) == {1}:
-            return sum(sum(r) <= len(side) for r in itertools.product(
-                *(range(m + 1) for m in Counter(other).values())))
+            return [r for r in itertools.product(
+                *(range(m + 1) for m in Counter(other).values())) if sum(r) <= len(side)]
+    return None
+
+
+def orbit_count_cached(mu, nu, field: FiniteField, d: int,
+                       budget: int = DEFAULT_BUDGET) -> int:
+    """Orbit count of the (mu, nu) problem at a degree-d eigenvalue over
+    the field: the number of cells when a side is (1^a), where nothing is
+    swept, so the budget does not apply; solved over F_2 for finite-type
+    shapes (their counts do not depend on the field); otherwise solved over
+    `gf.extension(field, d)`, the field representatives use, sharing its
+    memo entries."""
+    if (cells := _bruhat_cells(mu, nu)) is not None:
+        return len(cells)
     K = ff(2) if type_classify(mu, nu).kind == "finite" else gf.extension(field, d)
     return enumerate_orbits(mu, nu, K, budget).count
+
+
+_cell_reps: dict = {}  # shape key -> representatives of a shape with a side (1^a)
+
+
+def orbit_reps(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> tuple:
+    """The orbit representatives of the (mu, nu) problem over the field,
+    each the lex-minimum of its orbit, in ascending order: those of
+    `enumerate_orbits`, except that a shape with a side (1^a) has its
+    built from its cells, memoized by shape and field, with nothing swept,
+    so the budget does not apply.
+
+    For mu = (1^a), group the parts of nu by size in descending order; the
+    representative of the cell (r_i) puts a 1 at the last r_i columns of
+    group i, the chosen columns taken in increasing order on the rows from
+    the bottom up.  For nu = (1^b) it puts a 1 at the last r_i rows of
+    group i of mu, the chosen rows taken in increasing order on the columns
+    from the right leftwards.  Its row space (column space) is spanned by
+    the unit vectors of the chosen parts, r_i of them in group i, so its
+    dimensions against the flag of `_bruhat_cells` are those of the cell:
+    one representative per orbit.  That each is its orbit's lex-minimum,
+    the one a sweep picks, is checked against the sweep over seven fields
+    in the tests.  Its entries are 0 and 1, indices 0 and 1 in every field,
+    so ascending flat tuples are the sweep's ascending states.
+    """
+    if (cells := _bruhat_cells(mu, nu)) is None:
+        return enumerate_orbits(mu, nu, field, budget).reps
+    shape = CocentShape(mu, nu, field)
+    if (key := shape.key()) not in _cell_reps:
+        rows, cols = len(shape.mu), len(shape.nu)
+        by_column = set(shape.mu) == {1}
+        ends = list(itertools.accumulate(Counter(shape.nu if by_column else shape.mu).values()))
+        flats = []
+        for r in cells:
+            flat = [field.zero] * (rows * cols)
+            chosen = [j for end, k in zip(ends, r) for j in range(end - k, end)]
+            for t, j in enumerate(chosen):
+                flat[(rows - 1 - t) * cols + j if by_column else j * cols + cols - 1 - t] = field.one
+            flats.append(tuple(flat))
+        _cell_reps[key] = tuple(CocentElement.from_flat(shape, f) for f in sorted(flats))
+    return _cell_reps[key]
 
 
 def levi_reps(m: int, n: int, field: FiniteField) -> Iterator[tuple]:
@@ -166,10 +218,12 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
 
     Before the first is yielded, the array arithmetic of the largest field
     needed, `gf.extension(field, min(m, n))`, is checked before a modulus
-    is searched for, and the budget against the largest space swept,
-    (1^m)x(1^n) over the field itself; the loop sweeps that space and
-    solves every degree-min(m, n) eigenvalue over that very field.  Both
-    checks stay though finite-type orbit representatives do not depend on
+    is searched for, and the budget and 2^63 against the space of
+    (1^m)x(1^n) over the field itself, by arithmetic alone.  That space
+    bounds every one swept: a shape at a degree-d eigenvalue has dimension
+    at most mn/d^2 over F_{q^d}, so at most q^(mn/d) states.  Shapes with
+    a side (1^a), (1^m)x(1^n) among them, are built by `orbit_reps` and not
+    swept.  The checks stay though finite-type orbit representatives do not depend on
     the field, since the Levi forms do: `levi_reps` lists every form of
     both sides before the first line, and no other limit stops it.
     Without them, `--m 2 --n 2 --q 1000000007 --reps` would test some
@@ -179,7 +233,9 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
     field.check_arrays(min(m, n))
-    enumerate_orbits((1,) * m, (1,) * n, field, budget)
+    bound = CocentShape((1,) * m, (1,) * n, field)
+    check_space(bound, budget)
+    check_space(bound)
     forms: dict = {}  # form -> (Jordan array, factor offsets)
     lifts: dict = {}  # (eigenvalue, orbit rep) -> corner block array
     for ga, gb in levi_reps(m, n, field):
@@ -194,7 +250,7 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
         for pr in reduce_levi_pair(ga, gb, field):
             p, r0, c0 = pr.p, ra[pr.p], m + cb[pr.p]
             choices = []
-            for rep in enumerate_orbits(pr.mu, pr.nu, pr.field, budget).reps:
+            for rep in orbit_reps(pr.mu, pr.nu, pr.field, budget):
                 if (p, rep) not in lifts:
                     lifts[p, rep] = lift(rep, p, field).a
                 lf = lifts[p, rep]

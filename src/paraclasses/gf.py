@@ -319,13 +319,17 @@ class FiniteField:
         return "+".join(terms) if terms else "0"
 
     def element_parse(self, s: str) -> int:
-        """The element named by s in the text `_format` writes: terms c,
-        c*x or c*x^i joined by '+', c a base-field element, parenthesized
-        in a tower, and x the tower symbol with 0 <= i < degree.  Raises
-        ValueError, naming the term, on any other text."""
+        """The element named by s in the text `_format` writes: in a prime
+        field, ASCII decimal digits with a value below p; in an extension,
+        terms c, c*x or c*x^i joined by '+', c a base-field element,
+        parenthesized in a tower, x the tower symbol and i ASCII digits with
+        0 <= i < degree.  Raises ValueError, naming the term, on any other
+        text."""
         s = s.strip()
         if self.base is None:
-            return int(s) % self.p
+            if not (s.isascii() and s.isdecimal() and int(s) < self.p):
+                raise ValueError(f"bad term {s!r} of {self!r}")
+            return int(s)
         sym = self._symbol()
         cs = [self.base.zero] * self.degree
         for term in _split_top(s):
@@ -340,10 +344,14 @@ class FiniteField:
             if coeff_s.startswith("(") and coeff_s.endswith(")"):
                 coeff_s = coeff_s[1:-1]
             head, _, exp = power_s.partition("^")
-            i = int(exp) if head == sym and exp.isdecimal() else {"": 0, sym: 1}.get(power_s)
+            i = (int(exp) if head == sym and exp.isascii() and exp.isdecimal()
+                 else {"": 0, sym: 1}.get(power_s))
             if i is None or i >= self.degree:
                 raise ValueError(f"bad term {term!r} of {self!r}")
-            cs[i] = self.base.add(cs[i], self.base.element_parse(coeff_s))
+            try:
+                cs[i] = self.base.add(cs[i], self.base.element_parse(coeff_s))
+            except ValueError:
+                raise ValueError(f"bad term {term!r} of {self!r}") from None
         return self.from_coeffs(cs)
 
     def __repr__(self):

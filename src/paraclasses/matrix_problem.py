@@ -8,9 +8,14 @@ generators' actions are packed for the kernel straight from their windows.
 The orbit sets are the only memo of the orbit layer, kept by shape and
 field; the budget is checked before the memo is read, so a smaller budget
 still refuses a space an earlier call swept.  Every limit of the layer is
-checked here, where the shape is known and named; the kernels refuse only
-a closure that outgrows its budget.  Counting asks for finite-type shapes
-over F_2 only, since their counts do not depend on the field.
+checked here, where the shape is known and named; `check_space` words the
+state limit, for the sweep and for the space bound `--reps` checks before
+its first line, and the kernels refuse only a closure that outgrows its
+budget.  Counting asks for finite-type shapes over F_2 only, since their
+counts do not depend on the field; neither counts nor representatives ask
+for a shape with a side (1^a), which `conjugacy` solves in closed form, so
+the sweep remains for the other shapes, for orbit sizes and as the
+reference the closed form is tested against.
 `reduce_structured` implements the textual greedy pivot reductions for
 row shapes (r) and (r, 1, ..., 1); the other finite-type families go
 through the generic sweep.  `type_classify` applies the proved finiteness
@@ -71,8 +76,7 @@ def packed_actions(shape: CocentShape) -> PackedActions:
     except BudgetExceeded as e:
         raise BudgetExceeded(e.required, e.budget, f"{_describe(shape)}: {e.what}",
                              e.unit) from None
-    if (space := K.order ** shape.dim) > 2 ** 63:
-        raise BudgetExceeded(space, 2 ** 63, _describe(shape))
+    check_space(shape)
     index = {slot: r for r, slot in enumerate(shape.slots())}
     actions = [_changed_rows(g, shape, index, True)
                for g in reduced_action_generators(shape.mu, K)]
@@ -115,13 +119,20 @@ def _describe(shape: CocentShape) -> str:
     return f"({mu})x({nu}) over F_{shape.field.order}"
 
 
+def check_space(shape: CocentShape, budget: int = 2 ** 63) -> int:
+    """The number of states of the shape's space, refused, naming the shape
+    and field, past the budget, by default 2^63, which fits no state type."""
+    space = shape.field.order ** shape.dim
+    if space > budget:
+        raise BudgetExceeded(space, budget, _describe(shape))
+    return space
+
+
 def enumerate_orbits(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> OrbitSet:
     """Complete orbit partition of the space for (mu, nu) over the field,
     memoized by shape and field once the budget admits the space."""
     shape = CocentShape(mu, nu, field)
-    space = field.order ** shape.dim
-    if space > budget:
-        raise BudgetExceeded(space, budget, _describe(shape))
+    space = check_space(shape, budget)
     key = shape.key()
     if key not in _orbit_cache:
         reps, sizes = orbit_partition(packed_actions(shape))

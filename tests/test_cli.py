@@ -107,12 +107,19 @@ def test_table_limit_exit_names_field(capsys):
     (["gjnf", "--q", "4", "--matrix", "w^2 0;0 1"], "w^2"),
     (["centralizer", "--q", "4", "--lambda", "2", "--poly", "w^3,1"], "w^3"),
     (["gjnf", "--q", "4", "--matrix", "3*u 0;0 1"], "3*u"),
-    (["gjnf", "--q", "4", "--matrix", "w^-1 0;0 1"], "w^-1")])
+    (["gjnf", "--q", "4", "--matrix", "w^-1 0;0 1"], "w^-1"),
+    (["gjnf", "--q", "5", "--matrix", "1_0"], "1_0"),
+    (["gjnf", "--q", "4", "--matrix", "1_1*w"], "1_1*w"),
+    (["gjnf", "--q", "4", "--matrix", "w^\u0661"], "w^\u0661")])
 def test_malformed_element_text_is_malformed_input(capsys, argv, term):
-    # an exponent outside [0, 2) or a symbol other than w names its term
+    # an exponent other than ASCII digits below 2, a symbol other than w, or
+    # a prime-field coefficient other than ASCII digits below p names its
+    # term and field
+    from paraclasses.gf import ff_order
     assert run(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: bad term {term!r} of GF(2^2)\n"
+    field = ff_order(int(argv[argv.index("--q") + 1]))
+    assert out == "" and err == f"error: bad term {term!r} of {field!r}\n"
 
 
 def test_agl_and_oracle_commands(capsys):
@@ -223,6 +230,16 @@ def test_reps_budget_exit_prints_nothing(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "over F_3 needs" in err
+
+
+def test_reps_budget_is_a_space_bound_with_nothing_swept(capsys):
+    # (1,1)x(1,1,1) over F_13 is built in closed form, yet its space still
+    # bounds every sweep of the query
+    assert run(["classes", "parabolic", "--m", "2", "--n", "3", "--q", "13",
+                "--reps"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("budget exceeded: (1,1)x(1,1,1) over F_13 needs "
+                                 "4826809 states, budget 4194304\n")
 
 
 def _run_capped(*argv):

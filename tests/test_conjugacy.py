@@ -11,8 +11,8 @@ from paraclasses.matrices import Mat, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
                                    class_rep_line, class_rep_to_json, count_poly,
                                    gl_class_count, levi_reps,
-                                   orbit_count_cached, parabolic_class_count,
-                                   parabolic_class_reps)
+                                   orbit_count_cached, orbit_reps,
+                                   parabolic_class_count, parabolic_class_reps)
 from paraclasses.oracle import oracle_agl, oracle_classes
 
 from helpers import (block, class_rep_from_json, prime_powers,
@@ -136,6 +136,48 @@ def test_one_power_side_closed_form_matches_the_sweep():
                         enumerate_orbits(mu_, nu_, field).count, (mu_, nu_, field)
                     compared += 1
     assert compared == 280
+
+
+def test_one_power_side_reps_match_the_sweep():
+    # every (1^a) x nu and nu x (1^a), a <= 6, |nu| <= 6, that fits in 2^14
+    # states over seven fields: the built reps are the sweep's, in its order
+    from paraclasses.matrix_problem import enumerate_orbits
+    from paraclasses.partitions import partitions
+    compared = 0
+    for a in range(1, 7):
+        for nu in (nu for k in range(1, 7) for nu in partitions(k)):
+            for field in (F2, F3, F4, ff(5), ff(7), ff(2, 3), ff(3, 2)):
+                if field.order ** (a * len(nu)) > 1 << 14:
+                    continue
+                for mu_, nu_ in (((1,) * a, nu), (nu, (1,) * a)):
+                    assert orbit_reps(mu_, nu_, field) == \
+                        enumerate_orbits(mu_, nu_, field).reps, (mu_, nu_, field)
+                    compared += 1
+    assert compared == 1120
+
+
+def test_class_reps_sweep_no_one_power_side(monkeypatch):
+    # P(4, 4) over F_2 from an empty orbit memo: the kernel sweeps shapes,
+    # but none with a side (1^a)
+    import paraclasses.matrix_problem as mp
+    shape_of, swept = {}, []
+    pack, sweep = mp.packed_actions, mp.orbit_partition
+
+    def packing(shape):
+        pa = pack(shape)
+        shape_of[id(pa)] = shape.mu, shape.nu
+        return pa
+
+    def sweeping(pa):
+        swept.append(shape_of[id(pa)])
+        return sweep(pa)
+
+    monkeypatch.setattr(mp, "_orbit_cache", {})
+    monkeypatch.setattr(mp, "packed_actions", packing)
+    monkeypatch.setattr(mp, "orbit_partition", sweeping)
+    reps = sum(1 for _ in parabolic_class_reps(4, 4, F2))
+    assert reps == parabolic_class_count(4, 4, F2)
+    assert swept and not [s for s in swept if {1} in map(set, s)], swept
 
 
 def test_prime_powers_stream():
