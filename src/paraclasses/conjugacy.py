@@ -102,7 +102,7 @@ _cell_reps: dict = {}  # shape key -> representatives of a shape with a side (1^
 def orbit_reps(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> tuple:
     """The orbit representatives of the (mu, nu) problem over the field,
     each the lex-minimum of its orbit, in ascending order: those of
-    `enumerate_orbits`, except that a shape with a side (1^a) has its
+    `enumerate_orbits`, except that a shape with a side (1^a) has them
     built from its cells, memoized by shape and field, with nothing swept,
     so the budget does not apply.
 
