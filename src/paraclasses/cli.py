@@ -85,10 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--reps", action="store_true",
-                   help="emit one representative per class (JSON lines)")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--reps", action="store_true",
+                     help="emit one representative per class (JSON lines)")
+    out.add_argument("--csv", action="store_true", help="print the count as CSV")
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.add_argument("--csv", action="store_true")
     p = cls.add_parser("count-poly", help="class count as a polynomial in q")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

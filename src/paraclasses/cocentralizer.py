@@ -59,12 +59,8 @@ class CocentShape:
 
     def slots(self) -> list:
         """Flat (i, j, exponent) coordinates in canonical order."""
-        out = []
-        for i in range(len(self.mu)):
-            for j in range(len(self.nu)):
-                for a in range(self.l[i][j]):
-                    out.append((i, j, a))
-        return out
+        return [(i, j, a) for i, row in enumerate(self.l) for j, l in enumerate(row)
+                for a in range(l)]
 
 
 class CocentElement:
@@ -73,25 +69,22 @@ class CocentElement:
     def __init__(self, shape: CocentShape, entries):
         self.shape = shape
         self.entries = tuple(tuple(tuple(e) for e in row) for row in entries)
-        for i, row in enumerate(self.entries):
-            assert len(row) == len(shape.nu)
-            for j, e in enumerate(row):
-                assert len(e) == shape.l[i][j]
+        assert tuple(tuple(map(len, row)) for row in self.entries) == shape.l
         self._hash = None
 
     @classmethod
     def from_flat(cls, shape: CocentShape, flat) -> "CocentElement":
-        rows = []
-        pos = 0
-        for i in range(len(shape.mu)):
-            row = []
-            for j in range(len(shape.nu)):
-                l = shape.l[i][j]
-                row.append(tuple(flat[pos:pos + l]))
+        rows, pos = [], 0
+        for row in shape.l:
+            entries = []
+            for l in row:
+                entries.append(tuple(flat[pos:pos + l]))
                 pos += l
-            rows.append(tuple(row))
+            rows.append(tuple(entries))
         assert pos == len(flat)
-        return cls(shape, rows)
+        v = cls.__new__(cls)  # the entries have the shape's lengths by construction
+        v.shape, v.entries, v._hash = shape, tuple(rows), None
+        return v
 
     def flat(self) -> tuple:
         return tuple(c for row in self.entries for e in row for c in e)

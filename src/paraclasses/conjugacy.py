@@ -16,15 +16,12 @@ classes are counted by type, as the coefficient of x^m y^n in a product of
 one power series per degree raised to the number of irreducibles of that
 degree.  A shape with a side (1^a) is never swept: its orbits are the
 cells of `_bruhat_cells`, the positions of a row space of dimension <= a
-relative to a partial flag (proof there), which counts read as a number
-and representatives, through `orbit_reps`, as partial permutation
-matrices.  Other orbit counts and representatives come from the one orbit
-memo of `enumerate_orbits`, keyed by shape and field and shared by both
-(both solve a degree-d eigenvalue over `gf.extension(F_q, d)`); for
-counts, finite-type shapes are solved over F_2,
-sound by field independence (checked in the tests), and with the number
-of irreducibles written as a polynomial in q the same sum gives the class
-count as an exact polynomial in the field size.
+relative to a partial flag (proof there); `orbit_reps` builds their
+representatives.  `_solving_field` picks the field that solves a shape,
+for counts and representatives alike, so both read the same memo
+entries: F_2 for a finite-type shape (field independence is checked in
+the tests), else the eigenvalue's F_{q^d}.  With the number of irreducibles
+a polynomial in q, the same sum is the class count as an exact polynomial.
 """
 
 from __future__ import annotations
@@ -82,18 +79,19 @@ def _bruhat_cells(mu, nu):
     return None
 
 
+@lru_cache(maxsize=None)
+def _solving_field(mu, nu, field: FiniteField, d: int) -> FiniteField:
+    """F_2 for a finite-type shape, whose orbits do not depend on the field
+    (checked in the tests), else `gf.extension(field, d)`: the one field
+    solving (mu, nu) at a degree-d eigenvalue, for counts and reps alike."""
+    return ff(2) if type_classify(mu, nu).kind == "finite" else gf.extension(field, d)
+
+
 def orbit_count_cached(mu, nu, field: FiniteField, d: int,
                        budget: int = DEFAULT_BUDGET) -> int:
-    """Orbit count of the (mu, nu) problem at a degree-d eigenvalue over
-    the field: the number of cells when a side is (1^a), where nothing is
-    swept, so the budget does not apply; solved over F_2 for finite-type
-    shapes (their counts do not depend on the field); otherwise solved over
-    `gf.extension(field, d)`, the field representatives use, sharing its
-    memo entries."""
-    if (cells := _bruhat_cells(mu, nu)) is not None:
-        return len(cells)
-    K = ff(2) if type_classify(mu, nu).kind == "finite" else gf.extension(field, d)
-    return enumerate_orbits(mu, nu, K, budget).count
+    """The number of orbits of the (mu, nu) problem at a degree-d
+    eigenvalue over the field: its `orbit_reps` over `_solving_field`."""
+    return len(orbit_reps(mu, nu, _solving_field(mu, nu, field, d), budget))
 
 
 _cell_reps: dict = {}  # shape key -> representatives of a shape with a side (1^a)
@@ -141,11 +139,7 @@ def levi_reps(m: int, n: int, field: FiniteField) -> Iterator[tuple]:
     """All pairs of invertible Jordan forms of dimensions (m, n)."""
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
-    ga_list = list(enumerate_gjnf(m, field))
-    gb_list = list(enumerate_gjnf(n, field))
-    for ga in ga_list:
-        for gb in gb_list:
-            yield ga, gb
+    yield from itertools.product(enumerate_gjnf(m, field), enumerate_gjnf(n, field))
 
 
 def _series_mul(f: dict, g: dict, m: int, n: int) -> dict:
@@ -216,19 +210,21 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
                          budget: int = DEFAULT_BUDGET) -> Iterator[ClassRep]:
     """One assembled representative per conjugacy class.
 
-    Before the first is yielded, the array arithmetic of the largest field
-    needed, `gf.extension(field, min(m, n))`, is checked before a modulus
-    is searched for, and the budget and 2^63 against the space of
+    Each problem's representatives are those its count reads, over
+    `_solving_field`; each is read into the eigenvalue's F_{q^d} (entries
+    0 and 1 of F_2 mean the same there) once per field, before its lift.
+    Before the first is yielded, the array arithmetic of
+    `gf.extension(field, min(m, n))` is checked before a modulus is
+    searched for, and the budget and 2^63 against the space of
     (1^m)x(1^n) over the field itself, by arithmetic alone.  That space
     bounds every one swept: a shape at a degree-d eigenvalue has dimension
-    at most mn/d^2 over F_{q^d}, so at most q^(mn/d) states.  Shapes with
-    a side (1^a), (1^m)x(1^n) among them, are built by `orbit_reps` and not
-    swept.  The checks stay though finite-type orbit representatives do not depend on
-    the field, since the Levi forms do: `levi_reps` lists every form of
-    both sides before the first line, and no other limit stops it.
-    Without them, `--m 2 --n 2 --q 1000000007 --reps` would test some
-    10^18 monic quadratics for irreducibility, and `--m 1 --n 3 --q 1031
-    --reps` some 10^9 monic cubics, with some 10^12 lines to follow.
+    at most mn/d^2 over F_{q^d}, so at most q^(mn/d) states.  As shapes
+    with a side (1^a) are built and finite-type ones swept over F_2, the
+    checks now guard Levi enumeration, not arithmetic: `levi_reps` lists
+    every form of both sides before the first line, and no other limit
+    stops it.  Without them, `--m 2 --n 2 --q 1000000007 --reps` would
+    test some 10^18 monic quadratics for irreducibility, and `--m 1 --n 3
+    --q 1031 --reps` some 10^9 monic cubics, then some 10^12 lines.
     """
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
@@ -237,7 +233,7 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     check_space(bound, budget)
     check_space(bound)
     forms: dict = {}  # form -> (Jordan array, factor offsets)
-    lifts: dict = {}  # (eigenvalue, orbit rep) -> corner block array
+    lifts: dict = {}  # (eigenvalue, orbit rep) -> (block, corner block array)
     for ga, gb in levi_reps(m, n, field):
         for g in (ga, gb):
             if g not in forms:
@@ -250,18 +246,28 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
         for pr in reduce_levi_pair(ga, gb, field):
             p, r0, c0 = pr.p, ra[pr.p], m + cb[pr.p]
             choices = []
-            for rep in orbit_reps(pr.mu, pr.nu, pr.field, budget):
+            K = _solving_field(pr.mu, pr.nu, field, gf.pdeg(p))
+            for rep in orbit_reps(pr.mu, pr.nu, K, budget):
                 if (p, rep) not in lifts:
-                    lifts[p, rep] = lift(rep, p, field).a
-                lf = lifts[p, rep]
+                    v = _read_into(rep, pr.field)
+                    lifts[p, rep] = (p, v), lift(v, p, field).a
+                blk, lf = lifts[p, rep]
                 cell = np.s_[r0:r0 + lf.shape[0], c0:c0 + lf.shape[1]]
-                choices.append(((p, rep), cell, lf))
+                choices.append((blk, cell, lf))
             per_block.append(choices)
         for combo in itertools.product(*per_block):
             g = levi.copy()
             for _, cell, lf in combo:
                 g[cell] = lf
             yield ClassRep(ga, gb, tuple(blk for blk, _, _ in combo), Mat(field, g))
+
+
+@lru_cache(maxsize=None)
+def _read_into(rep: CocentElement, field: FiniteField) -> CocentElement:
+    """The representative over the field, its entry indices kept."""
+    if rep.shape.field is field:
+        return rep
+    return CocentElement.from_flat(CocentShape(rep.shape.mu, rep.shape.nu, field), rep.flat())
 
 
 @lru_cache(maxsize=None)

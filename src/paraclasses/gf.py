@@ -116,12 +116,6 @@ class FiniteField:
             return cs[0] % self.p
         return sum(c * self.base.order ** i for i, c in enumerate(cs))
 
-    @property
-    def gen(self) -> int:
-        """The adjoined generator (index of the coefficient vector (0,1,0,..))."""
-        assert self.base is not None, "prime field has no extension generator"
-        return self.base.order
-
     # -- arithmetic on element indices ------------------------------------
 
     def add(self, a: int, b: int) -> int:

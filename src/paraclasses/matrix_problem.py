@@ -3,19 +3,19 @@
 `enumerate_orbits` sweeps the whole (finite) space and partitions it under
 the combined left/right centralizer action; representatives are the
 lexicographic minimum of each orbit under the fixed element order, so the
-output is deterministic and field-uniform for finite-type shapes.  The
-generators' actions are packed for the kernel straight from their windows.
+output is deterministic (and field-uniform for finite-type shapes, as the
+tests check).  Generator actions are packed straight from their windows.
 The orbit sets are the only memo of the orbit layer, kept by shape and
 field; the budget is checked before the memo is read, so a smaller budget
 still refuses a space an earlier call swept.  Every limit of the layer is
 checked here, where the shape is known and named; `check_space` words the
 state limit, for the sweep and for the space bound `--reps` checks before
 its first line, and the kernels refuse only a closure that outgrows its
-budget.  Counting asks for finite-type shapes over F_2 only, since their
-counts do not depend on the field; neither counts nor representatives ask
-for a shape with a side (1^a), which `conjugacy` solves in closed form, so
-the sweep remains for the other shapes, for orbit sizes and as the
-reference the closed form is tested against.
+budget.  Counts and representatives ask for finite-type shapes over F_2
+only, their orbits not depending on the field, and never for a shape with
+a side (1^a), which `conjugacy` solves in closed form; sweeps over any
+field remain for other shapes, `matprob orbits`, orbit sizes and the
+tests' reference.
 `reduce_structured` implements the textual greedy pivot reductions for
 row shapes (r) and (r, 1, ..., 1); the other finite-type families go
 through the generic sweep.  `type_classify` applies the proved finiteness

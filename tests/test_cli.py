@@ -37,6 +37,16 @@ def test_parabolic_count_csv(capsys):
     assert out.splitlines() == ["m,n,q,count", "1,2,2,5"]
 
 
+@pytest.mark.parametrize("order", [["--reps", "--csv"], ["--csv", "--reps"]])
+def test_parabolic_reps_and_csv_are_exclusive(capsys, order):
+    # representatives are JSON lines, so CSV output of them is refused
+    # before any work, naming both flags
+    assert run(["classes", "parabolic", "--m", "1", "--n", "2", "--q", "2"] + order) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+    assert "--reps" in err and "--csv" in err
+
+
 def test_matprob_orbits(capsys):
     code, out = _capture(capsys, ["matprob", "orbits", "--q", "2",
                                   "--mu", "2", "--nu", "2"])

@@ -93,8 +93,9 @@ def test_class_reps_match_per_class_assembly(m, n, field):
 
 @pytest.mark.parametrize("m,n,field", [(2, 2, ff(5)), (3, 3, F3)])
 def test_class_reps_solve_each_degree_over_one_field(m, n, field):
-    # every degree-d eigenvalue's orbit representative lies over the same
-    # F_{q^d} that the class count uses, not over its own extend(F, p)
+    # every degree-d eigenvalue's orbit representative, solved over F_2 for
+    # a finite-type shape, is read into the one F_{q^d} shared by its
+    # degree, not into its own extend(F, p)
     blocks = [b for rep in parabolic_class_reps(m, n, field) for b in rep.blocks]
     assert {pdeg(p) for p, _ in blocks} == set(range(1, min(m, n) + 1))
     for p, v in blocks:
@@ -154,6 +155,70 @@ def test_one_power_side_reps_match_the_sweep():
                         enumerate_orbits(mu_, nu_, field).reps, (mu_, nu_, field)
                     compared += 1
     assert compared == 1120
+
+
+def test_finite_type_reps_do_not_depend_on_the_field(monkeypatch):
+    # every finite-type shape with no side (1^a), |mu| <= 6, |nu| <= 6, that
+    # fits in 2^14 states over six fields: the F_2 reps, which counts and
+    # representatives read for every field, are the lex-min reps of a sweep
+    # over that field, in its order
+    import paraclasses.matrix_problem as mp
+    from paraclasses.cocentralizer import CocentShape
+    from paraclasses.partitions import partitions
+    monkeypatch.setattr(mp, "_orbit_cache", {})
+    sides = [lam for k in range(1, 7) for lam in partitions(k) if set(lam) != {1}]
+    compared = 0
+    for mu, nu in itertools.product(sides, repeat=2):
+        if mp.type_classify(mu, nu).kind != "finite":
+            continue
+        dim = CocentShape(mu, nu, F2).dim
+        for field in (F3, F4, ff(5), ff(7), ff(2, 3), ff(3, 2)):
+            if field.order ** dim > 1 << 14:
+                continue
+            assert [r.flat() for r in mp.enumerate_orbits(mu, nu, F2).reps] == \
+                [r.flat() for r in mp.enumerate_orbits(mu, nu, field).reps], (mu, nu, field)
+            compared += 1
+    assert compared == 1024
+
+
+def test_f2_reps_read_into_larger_fields_are_canonical():
+    # past the sweep grid: each F_2 rep, read into F_3 and F_5, is the
+    # lex-minimum of its orbit there, on every orbit that closes within
+    # the budget
+    from paraclasses.cocentralizer import CocentElement, CocentShape
+    from paraclasses.matrix_problem import canonical_form
+    checked = 0
+    for mu, nu in [((2, 2, 1), (2, 1, 1)), ((3, 2), (2, 2, 1)),
+                   ((2, 2, 1), (2, 2, 1)), ((3, 1, 1), (2, 2))]:
+        for field in (F3, ff(5)):
+            shape = CocentShape(mu, nu, field)
+            for rep in orbit_reps(mu, nu, F2):
+                v = CocentElement.from_flat(shape, rep.flat())
+                try:
+                    assert canonical_form(v, budget=20000) == v, (v, field)
+                except BudgetExceeded:
+                    continue
+                checked += 1
+    assert checked == 85
+
+
+@pytest.mark.parametrize("m,n,field", [(3, 3, F3), (2, 2, ff(5)), (2, 3, F4)])
+def test_class_reps_pack_nothing_the_count_did_not(monkeypatch, m, n, field):
+    # counts and representatives pick the solving field by one rule, so
+    # after the count the representatives read its orbit memo entries
+    import paraclasses.matrix_problem as mp
+    packed, pack = [], mp.packed_actions
+
+    def packing(shape):
+        packed.append((shape.mu, shape.nu, shape.field.order))
+        return pack(shape)
+
+    monkeypatch.setattr(mp, "_orbit_cache", {})
+    monkeypatch.setattr(mp, "packed_actions", packing)
+    count = parabolic_class_count(m, n, field)
+    counted = len(packed)
+    assert counted and sum(1 for _ in parabolic_class_reps(m, n, field)) == count
+    assert packed[counted:] == []
 
 
 def test_class_reps_sweep_no_one_power_side(monkeypatch):
