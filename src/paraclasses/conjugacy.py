@@ -16,8 +16,11 @@ classes are counted by type, as the coefficient of x^m y^n in a product of
 one power series per degree raised to the number of irreducibles of that
 degree.  A shape with a side (1^a) is never swept: its orbits are the
 cells of `_bruhat_cells`, the positions of a row space of dimension <= a
-relative to a partial flag (proof there); `orbit_reps` builds their
-representatives.  `_solving_field` picks the field that solves a shape,
+relative to a partial flag, and their sizes are q-binomial counts of
+Schubert cells (proofs there).  A count is the number of cells;
+`_cell_orbits` builds their representatives and sizes, which
+`orbit_reps` and `orbit_set`, the orbits `matprob orbits` prints, read.
+`_solving_field` picks the field that solves a shape,
 for counts and representatives alike, so both read the same memo
 entries: F_2 for a finite-type shape (field independence is checked in
 the tests), else the eigenvalue's F_{q^d}.  With the number of irreducibles
@@ -43,7 +46,8 @@ from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
 from .matrices import Mat, mat_str
 from .cocentralizer import (CocentElement, CocentShape, cocent_to_json, lift,
                             reduce_levi_pair)
-from .matrix_problem import DEFAULT_BUDGET, check_space, enumerate_orbits, type_classify
+from .matrix_problem import (DEFAULT_BUDGET, OrbitSet, check_space, check_sweep,
+                             enumerate_orbits, type_classify)
 from .partitions import partitions
 
 # the one compact encoder of every output line (json.dumps with separators
@@ -51,6 +55,7 @@ from .partitions import partitions
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
+@lru_cache(maxsize=None)
 def _bruhat_cells(mu, nu):
     """The cells (r_1..r_k) of a shape with a side (1^a), None for any other
     shape: with m_1..m_k the multiplicities of the distinct parts of the
@@ -71,11 +76,28 @@ def _bruhat_cells(mu, nu):
     decomposition of the Grassmannian): the tuples
     r_i = dim(W & F_i) - dim(W & F_{i-1}), each with 0 <= r_i <= m_i, all
     of which occur.
+
+    The size of the orbit of a cell, with q = |K|, k = sum r_i, and F_i
+    taken from the smallest part upward (M_{<i}, R_{<i} the sums of the
+    m_j, r_j of the earlier groups), is
+
+        prod_i [m_i choose r_i]_q q^(r_i (M_{<i} - R_{<i})) * prod_{j<k} (q^a - q^j).
+
+    The first product counts the subspaces W of the cell (Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. II), group by group:
+    given W & F_{i-1}, of dimension R_{<i}, the space W & F_i is fixed by
+    its image in F_i / F_{i-1}, an r_i-dimensional subspace of an
+    m_i-dimensional space ([m_i choose r_i]_q choices), and by a lift of
+    it, a linear map from that image to F_{i-1} / (W & F_{i-1}), of
+    dimension M_{<i} - R_{<i}.  The second counts the matrices with one
+    given row space W: a basis of W fixed, they are the a x k matrices of
+    rank k, whose rows are its coordinates.  `_cell_orbits` checks that
+    the sizes add up to q^(a l(nu)).
     """
     for side, other in ((mu, nu), (nu, mu)):
         if set(side) == {1}:
-            return [r for r in itertools.product(
-                *(range(m + 1) for m in Counter(other).values())) if sum(r) <= len(side)]
+            return tuple(r for r in itertools.product(
+                *(range(m + 1) for m in Counter(other).values())) if sum(r) <= len(side))
     return None
 
 
@@ -90,19 +112,39 @@ def _solving_field(mu, nu, field: FiniteField, d: int) -> FiniteField:
 def orbit_count_cached(mu, nu, field: FiniteField, d: int,
                        budget: int = DEFAULT_BUDGET) -> int:
     """The number of orbits of the (mu, nu) problem at a degree-d
-    eigenvalue over the field: its `orbit_reps` over `_solving_field`."""
+    eigenvalue over the field: its number of cells for a shape with a side
+    (1^a), else the number of its `orbit_reps` over `_solving_field`."""
+    if (cells := _bruhat_cells(mu, nu)) is not None:
+        return len(cells)
     return len(orbit_reps(mu, nu, _solving_field(mu, nu, field, d), budget))
 
 
-_cell_reps: dict = {}  # shape key -> representatives of a shape with a side (1^a)
+def _q_binomial(m: int, r: int, q: int) -> int:
+    """The number of r-dimensional subspaces of F_q^m."""
+    num = den = 1
+    for j in range(r):
+        num *= q ** (m - j) - 1
+        den *= q ** (j + 1) - 1
+    return num // den
 
 
-def orbit_reps(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> tuple:
-    """The orbit representatives of the (mu, nu) problem over the field,
-    each the lex-minimum of its orbit, in ascending order: those of
-    `enumerate_orbits`, except that a shape with a side (1^a) has them
-    built from its cells, memoized by shape and field, with nothing swept,
-    so the budget does not apply.
+def _cell_size(groups, r, q: int, a: int) -> int:
+    """The size of the orbit of cell r, for the group sizes m_i of the
+    other side in descending order of part and a side (1^a): the formula
+    of `_bruhat_cells`."""
+    size, earlier, chosen = 1, 0, 0
+    for m, k in zip(reversed(groups), reversed(r)):
+        size *= _q_binomial(m, k, q) * q ** (k * (earlier - chosen))
+        earlier, chosen = earlier + m, chosen + k
+    for j in range(chosen):
+        size *= q ** a - q ** j
+    return size
+
+
+@lru_cache(maxsize=None)
+def _cell_orbits(mu, nu, field: FiniteField):
+    """The `OrbitSet` of a shape with a side (1^a), built from its cells,
+    memoized by shape and field; None for any other shape.
 
     For mu = (1^a), group the parts of nu by size in descending order; the
     representative of the cell (r_i) puts a 1 at the last r_i columns of
@@ -115,24 +157,50 @@ def orbit_reps(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> tupl
     one representative per orbit.  That each is its orbit's lex-minimum,
     the one a sweep picks, is checked against the sweep over seven fields
     in the tests.  Its entries are 0 and 1, indices 0 and 1 in every field,
-    so ascending flat tuples are the sweep's ascending states.
+    so ascending flat tuples are the sweep's ascending states; each is
+    sorted together with its size, so the two stay in the same order.
     """
     if (cells := _bruhat_cells(mu, nu)) is None:
-        return enumerate_orbits(mu, nu, field, budget).reps
+        return None
     shape = CocentShape(mu, nu, field)
-    if (key := shape.key()) not in _cell_reps:
-        rows, cols = len(shape.mu), len(shape.nu)
-        by_column = set(shape.mu) == {1}
-        ends = list(itertools.accumulate(Counter(shape.nu if by_column else shape.mu).values()))
-        flats = []
-        for r in cells:
-            flat = [field.zero] * (rows * cols)
-            chosen = [j for end, k in zip(ends, r) for j in range(end - k, end)]
-            for t, j in enumerate(chosen):
-                flat[(rows - 1 - t) * cols + j if by_column else j * cols + cols - 1 - t] = field.one
-            flats.append(tuple(flat))
-        _cell_reps[key] = tuple(CocentElement.from_flat(shape, f) for f in sorted(flats))
-    return _cell_reps[key]
+    rows, cols = len(shape.mu), len(shape.nu)
+    by_column = set(shape.mu) == {1}
+    groups = list(Counter(shape.nu if by_column else shape.mu).values())
+    ends = list(itertools.accumulate(groups))
+    a = rows if by_column else cols
+    pairs = []
+    for r in cells:
+        flat = [field.zero] * (rows * cols)
+        chosen = [j for end, k in zip(ends, r) for j in range(end - k, end)]
+        for t, j in enumerate(chosen):
+            flat[(rows - 1 - t) * cols + j if by_column else j * cols + cols - 1 - t] = field.one
+        pairs.append((tuple(flat), _cell_size(groups, r, field.order, a)))
+    pairs.sort()
+    sizes = tuple(s for _, s in pairs)
+    assert sum(sizes) == field.order ** shape.dim
+    return OrbitSet(shape, tuple(CocentElement.from_flat(shape, f) for f, _ in pairs), sizes)
+
+
+def orbit_reps(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> tuple:
+    """The orbit representatives of the (mu, nu) problem over the field,
+    each the lex-minimum of its orbit, in ascending order: those of
+    `enumerate_orbits`, except that a shape with a side (1^a) reads them
+    from `_cell_orbits`, with nothing swept, so the budget does not apply."""
+    if (orbits := _cell_orbits(mu, nu, field)) is None:
+        return enumerate_orbits(mu, nu, field, budget).reps
+    return orbits.reps
+
+
+def orbit_set(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> OrbitSet:
+    """The orbits of the (mu, nu) problem over the field, as
+    `enumerate_orbits` gives them (lex-min representatives in ascending
+    order, with their sizes), and refused as it refuses the shape
+    (`check_sweep`); a shape with a side (1^a) is then read from
+    `_cell_orbits`, with nothing swept."""
+    if _bruhat_cells(mu, nu) is None:
+        return enumerate_orbits(mu, nu, field, budget)
+    check_sweep(CocentShape(mu, nu, field), budget)
+    return _cell_orbits(mu, nu, field)
 
 
 def levi_reps(m: int, n: int, field: FiniteField) -> Iterator[tuple]:

@@ -10,12 +10,14 @@ field; the budget is checked before the memo is read, so a smaller budget
 still refuses a space an earlier call swept.  Every limit of the layer is
 checked here, where the shape is known and named; `check_space` words the
 state limit, for the sweep and for the space bound `--reps` checks before
-its first line, and the kernels refuse only a closure that outgrows its
-budget.  Counts and representatives ask for finite-type shapes over F_2
-only, their orbits not depending on the field, and never for a shape with
-a side (1^a), which `conjugacy` solves in closed form; sweeps over any
-field remain for other shapes, `matprob orbits`, orbit sizes and the
-tests' reference.
+its first line, `check_sweep` refuses a sweep (the budget, array
+arithmetic, 2^63), and the kernels refuse only a closure that outgrows its
+budget.  Counts, representatives and `matprob orbits` never ask for a
+shape with a side (1^a), which `conjugacy` solves in closed form, orbit
+sizes included, after `check_sweep` admits it; counts and representatives
+ask for finite-type shapes over F_2 only, their orbits not depending on
+the field.  Sweeps over any field remain for other shapes, canonical
+forms and the tests' reference.
 `reduce_structured` implements the textual greedy pivot reductions for
 row shapes (r) and (r, 1, ..., 1); the other finite-type families go
 through the generic sweep.  `type_classify` applies the proved finiteness
@@ -67,16 +69,10 @@ def _changed_rows(g: AlgElement, shape: CocentShape, index: dict, left: bool) ->
 
 def packed_actions(shape: CocentShape) -> PackedActions:
     """The reduced generator actions, packed for the kernels straight from
-    each generator's windows.  Refused, naming the shape, are a field
-    without array arithmetic and a space past 2^63, which fits no state
-    type."""
+    each generator's windows, refused by `check_sweep` at its default
+    budget of 2^63 states, past which no state type holds a state."""
     K = shape.field
-    try:
-        K.check_arrays()
-    except BudgetExceeded as e:
-        raise BudgetExceeded(e.required, e.budget, f"{_describe(shape)}: {e.what}",
-                             e.unit) from None
-    check_space(shape)
+    check_sweep(shape)
     index = {slot: r for r, slot in enumerate(shape.slots())}
     actions = [_changed_rows(g, shape, index, True)
                for g in reduced_action_generators(shape.mu, K)]
@@ -128,11 +124,25 @@ def check_space(shape: CocentShape, budget: int = 2 ** 63) -> int:
     return space
 
 
+def check_sweep(shape: CocentShape, budget: int = 2 ** 63) -> int:
+    """The number of states of the shape's space, refused, naming the shape
+    and field, as a sweep of it is refused: past the budget, then over a
+    field without array arithmetic, then past 2^63."""
+    space = check_space(shape, budget)
+    try:
+        shape.field.check_arrays()
+    except BudgetExceeded as e:
+        raise BudgetExceeded(e.required, e.budget, f"{_describe(shape)}: {e.what}",
+                             e.unit) from None
+    check_space(shape)
+    return space
+
+
 def enumerate_orbits(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> OrbitSet:
     """Complete orbit partition of the space for (mu, nu) over the field,
-    memoized by shape and field once the budget admits the space."""
+    memoized by shape and field once `check_sweep` admits the space."""
     shape = CocentShape(mu, nu, field)
-    space = check_space(shape, budget)
+    space = check_sweep(shape, budget)
     key = shape.key()
     if key not in _orbit_cache:
         reps, sizes = orbit_partition(packed_actions(shape))

@@ -63,6 +63,37 @@ def test_matprob_orbits(capsys):
         assert v.shape.mu == (2,)
 
 
+@pytest.mark.parametrize("q,mu,nu", [(3, "1,1,1,1", "2,1,1"), (4, "2,2,1", "1,1")])
+def test_matprob_orbits_of_a_one_power_side_sweep_nothing(capsys, monkeypatch, q, mu, nu):
+    # a shape with a side (1^a) is answered from its cells, sizes included,
+    # with the text of a line built from the sweep
+    import paraclasses.kernels as kernels
+    import paraclasses.matrix_problem as mp
+    from paraclasses.cocentralizer import cocent_to_json
+    from paraclasses.conjugacy import _JSON
+    from paraclasses.gf import ff_order
+    swept, sweep = [], kernels.orbit_partition
+
+    def sweeping(pa):
+        swept.append(pa.space())
+        return sweep(pa)
+
+    monkeypatch.setattr(mp, "_orbit_cache", {})
+    monkeypatch.setattr(kernels, "orbit_partition", sweeping)
+    monkeypatch.setattr(mp, "orbit_partition", sweeping)
+    code, out = _capture(capsys, ["matprob", "orbits", "--q", str(q), "--mu", mu,
+                                  "--nu", nu])
+    assert code == 0 and swept == []
+    mu_, nu_ = (tuple(map(int, lam.split(","))) for lam in (mu, nu))
+    orbits = mp.enumerate_orbits(mu_, nu_, ff_order(q))
+    assert swept == [q ** orbits.shape.dim]
+    assert out == _JSON.encode({
+        "mu": list(mu_), "nu": list(nu_), "q": q, "count": orbits.count,
+        "orbits": [{"rep": cocent_to_json(r)["entries"], "size": s,
+                    "zero_one": all(c in (0, 1) for row in r.entries for e in row for c in e)}
+                   for r, s in zip(orbits.reps, orbits.sizes)]}) + "\n"
+
+
 def test_matprob_classify(capsys):
     code, out = _capture(capsys, ["matprob", "classify", "--mu", "4,2",
                                   "--nu", "4,2"])

@@ -11,7 +11,7 @@ from paraclasses.matrices import Mat, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
                                    class_rep_line, class_rep_to_json, count_poly,
                                    gl_class_count, levi_reps,
-                                   orbit_count_cached, orbit_reps,
+                                   orbit_count_cached, orbit_reps, orbit_set,
                                    parabolic_class_count, parabolic_class_reps)
 from paraclasses.oracle import oracle_agl, oracle_classes
 
@@ -141,7 +141,8 @@ def test_one_power_side_closed_form_matches_the_sweep():
 
 def test_one_power_side_reps_match_the_sweep():
     # every (1^a) x nu and nu x (1^a), a <= 6, |nu| <= 6, that fits in 2^14
-    # states over seven fields: the built reps are the sweep's, in its order
+    # states over seven fields: the built reps and sizes are the sweep's, in
+    # its order, and the count, the number of cells, is the number of reps
     from paraclasses.matrix_problem import enumerate_orbits
     from paraclasses.partitions import partitions
     compared = 0
@@ -151,10 +152,31 @@ def test_one_power_side_reps_match_the_sweep():
                 if field.order ** (a * len(nu)) > 1 << 14:
                     continue
                 for mu_, nu_ in (((1,) * a, nu), (nu, (1,) * a)):
-                    assert orbit_reps(mu_, nu_, field) == \
-                        enumerate_orbits(mu_, nu_, field).reps, (mu_, nu_, field)
+                    built, swept = orbit_set(mu_, nu_, field), enumerate_orbits(mu_, nu_, field)
+                    assert (built.reps, built.sizes) == (swept.reps, swept.sizes), \
+                        (mu_, nu_, field)
+                    assert orbit_reps(mu_, nu_, field) == swept.reps
+                    assert orbit_count_cached(mu_, nu_, field, 1) == \
+                        len(orbit_reps(mu_, nu_, field))
                     compared += 1
     assert compared == 1120
+
+
+def test_one_power_side_sizes_past_the_sweep_grid():
+    # (1^4)x(3,3,2,1,1) over F_8 has 2^60 states, too many to sweep: the
+    # cells with r_1 + r_2 + r_3 <= 4 (r_i <= 2, 1, 2) are its 17 orbits,
+    # and their sizes add up to 2^60 (also asserted as they are built).
+    # A rank-1 matrix is a line, times the 8^4 - 1 nonzero columns that
+    # span it: the lines in the 2-dimensional span of the parts of size 1,
+    # in that of size 2 off it, and in that of size 3 off both
+    orbits = orbit_set((1,) * 4, (3, 3, 2, 1, 1), ff(2, 3), budget=1 << 60)
+    assert orbits.count == 17 and sum(orbits.sizes) == 1 << 60
+    size = {r.flat(): s for r, s in zip(orbits.reps, orbits.sizes)}
+    unit = [tuple(int(i == k) for i in range(20)) for k in range(20)]
+    assert size[(0,) * 20] == 1
+    assert size[unit[19]] == 9 * (8 ** 4 - 1)            # row 4, column 5
+    assert size[unit[17]] == 8 ** 2 * (8 ** 4 - 1)       # row 4, column 3
+    assert size[unit[16]] == 9 * 8 ** 3 * (8 ** 4 - 1)   # row 4, column 2
 
 
 def test_finite_type_reps_do_not_depend_on_the_field(monkeypatch):
