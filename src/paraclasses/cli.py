@@ -14,16 +14,15 @@ from . import gf
 from .gf import ff_order, extend, poly_parse, poly_str
 from .jordan import gjnf, gjnf_to_json
 from .matrices import mat_parse, mat_str
-from .matrix_problem import DEFAULT_BUDGET, type_classify
+from .matrix_problem import DEFAULT_BUDGET, enumerate_orbits, type_classify
 from .centralizer import alg_to_json, centralizer_dim, generators
 from .cocentralizer import cocent_to_json
 from .conjugacy import (_JSON, agl_class_count, agl_class_reps, class_rep_line,
-                        count_poly, eigen_one_poly, orbit_set, parabolic_class_count,
+                        count_poly, eigen_one_poly, parabolic_class_count,
                         parabolic_class_reps)
 # unused here, but bound by name: perfbench/layertrace.py requires a traced
-# run to wrap cli.class_rep_to_json and cli.enumerate_orbits
+# run to wrap cli.class_rep_to_json
 from .conjugacy import class_rep_to_json  # noqa: F401
-from .matrix_problem import enumerate_orbits  # noqa: F401
 from .errors import BudgetExceeded
 from .oracle import DEFAULT_ORACLE_BUDGET, oracle_agl, oracle_classes
 from .partitions import check_partition
@@ -180,7 +179,7 @@ def _dispatch(args) -> int:
                    "type": v.kind, "rule": v.rule})
             return 0
         field = ff_order(args.q)
-        orbits = orbit_set(args.mu, args.nu, field, budget=args.budget)
+        orbits = enumerate_orbits(args.mu, args.nu, field, budget=args.budget)
         _emit({
             "mu": list(args.mu), "nu": list(args.nu), "q": args.q,
             "count": orbits.count,

@@ -33,14 +33,19 @@ from .centralizer import AlgElement, _grid, d_twist, truncated_product
 from .partitions import check_partition
 
 
+def check_sides(mu, nu) -> tuple:
+    """The two sides of a shape, each a nonempty partition."""
+    mu, nu = check_partition(mu), check_partition(nu)
+    if not mu or not nu:
+        raise ValueError("both partitions must be nonempty")
+    return mu, nu
+
+
 class CocentShape:
     __slots__ = ("mu", "nu", "field", "l", "dim")
 
     def __init__(self, mu, nu, field: FiniteField):
-        self.mu = check_partition(mu)
-        self.nu = check_partition(nu)
-        if not self.mu or not self.nu:
-            raise ValueError("both partitions must be nonempty")
+        self.mu, self.nu = check_sides(mu, nu)
         self.field = field
         self.l = tuple(tuple(min(a, b) for b in self.nu) for a in self.mu)
         self.dim = sum(sum(row) for row in self.l)

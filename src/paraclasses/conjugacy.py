@@ -6,7 +6,8 @@ matrix problem for every shared generalized eigenvalue; the assembled
 witness is [[A, V], [0, B]] with V the sum of the lifted blocks.
 Representatives reuse each form's assembled Jordan array and factor
 offsets across its Levi pairs, place both forms into one array per Levi
-pair, and lift each (eigenvalue, orbit representative) once per call.
+pair, and read each (eigenvalue, shape)'s orbits and lift their
+representatives once per call.
 Their JSON line, `class_rep_line`, joins text encoded once: each form's
 text is memoized by form and field, each block's by eigenvalue, orbit
 representative and field, so a class pays only for its matrix text and
@@ -14,12 +15,8 @@ the join.  Counting never enumerates Levi pairs: the number of orbits at
 an eigenvalue depends only on its pair of partitions and its degree, so
 classes are counted by type, as the coefficient of x^m y^n in a product of
 one power series per degree raised to the number of irreducibles of that
-degree.  A shape with a side (1^a) is never swept: its orbits are the
-cells of `_bruhat_cells`, the positions of a row space of dimension <= a
-relative to a partial flag, and their sizes are q-binomial counts of
-Schubert cells (proofs there).  A count is the number of cells;
-`_cell_orbits` builds their representatives and sizes, which
-`orbit_reps` and `orbit_set`, the orbits `matprob orbits` prints, read.
+degree.  The orbits of a shape come from `matrix_problem`, which answers
+a shape with a side (1^a) from its Bruhat cells and sweeps no such shape.
 `_solving_field` picks the field that solves a shape,
 for counts and representatives alike, so both read the same memo
 entries: F_2 for a finite-type shape (field independence is checked in
@@ -31,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,59 +42,13 @@ from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
 from .matrices import Mat, mat_str
 from .cocentralizer import (CocentElement, CocentShape, cocent_to_json, lift,
                             reduce_levi_pair)
-from .matrix_problem import (DEFAULT_BUDGET, OrbitSet, check_space, check_sweep,
-                             enumerate_orbits, type_classify)
+from .matrix_problem import (DEFAULT_BUDGET, check_space, enumerate_orbits, orbit_count,
+                             type_classify)
 from .partitions import partitions
 
 # the one compact encoder of every output line (json.dumps with separators
 # builds a new encoder per call)
 _JSON = json.JSONEncoder(separators=(",", ":"))
-
-
-@lru_cache(maxsize=None)
-def _bruhat_cells(mu, nu):
-    """The cells (r_1..r_k) of a shape with a side (1^a), None for any other
-    shape: with m_1..m_k the multiplicities of the distinct parts of the
-    other side, in descending order of part, every tuple with
-    0 <= r_i <= m_i and sum r_i <= a.  They are its orbits.
-
-    Proof, for mu = (1^a) (nu = (1^b) is the transpose): every entry has
-    length min(1, nu_j) = 1, so the space is the a x l(nu) matrices over K,
-    and Aut((1^a)) acts on the left as all of GL_a.  On the right only the
-    constant terms of Aut(nu) survive the truncation.  An entry between
-    parts of different sizes has offset 0, so a constant term, in one
-    direction only; the constant terms thus make up the parabolic P of
-    GL_{l(nu)} that fixes the flag F_1 < ... < F_k whose quotients
-    F_i / F_{i-1} gather the m_i parts of one size, ordered by size, with
-    Levi factor prod GL_{m_i}, and every element of P occurs.  GL_a reduces
-    a matrix to its row space W, of any dimension <= a, and the P-orbits of
-    subspaces are their positions relative to the flag (the Bruhat
-    decomposition of the Grassmannian): the tuples
-    r_i = dim(W & F_i) - dim(W & F_{i-1}), each with 0 <= r_i <= m_i, all
-    of which occur.
-
-    The size of the orbit of a cell, with q = |K|, k = sum r_i, and F_i
-    taken from the smallest part upward (M_{<i}, R_{<i} the sums of the
-    m_j, r_j of the earlier groups), is
-
-        prod_i [m_i choose r_i]_q q^(r_i (M_{<i} - R_{<i})) * prod_{j<k} (q^a - q^j).
-
-    The first product counts the subspaces W of the cell (Macdonald,
-    Symmetric Functions and Hall Polynomials, ch. II), group by group:
-    given W & F_{i-1}, of dimension R_{<i}, the space W & F_i is fixed by
-    its image in F_i / F_{i-1}, an r_i-dimensional subspace of an
-    m_i-dimensional space ([m_i choose r_i]_q choices), and by a lift of
-    it, a linear map from that image to F_{i-1} / (W & F_{i-1}), of
-    dimension M_{<i} - R_{<i}.  The second counts the matrices with one
-    given row space W: a basis of W fixed, they are the a x k matrices of
-    rank k, whose rows are its coordinates.  `_cell_orbits` checks that
-    the sizes add up to q^(a l(nu)).
-    """
-    for side, other in ((mu, nu), (nu, mu)):
-        if set(side) == {1}:
-            return tuple(r for r in itertools.product(
-                *(range(m + 1) for m in Counter(other).values())) if sum(r) <= len(side))
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -112,95 +62,8 @@ def _solving_field(mu, nu, field: FiniteField, d: int) -> FiniteField:
 def orbit_count_cached(mu, nu, field: FiniteField, d: int,
                        budget: int = DEFAULT_BUDGET) -> int:
     """The number of orbits of the (mu, nu) problem at a degree-d
-    eigenvalue over the field: its number of cells for a shape with a side
-    (1^a), else the number of its `orbit_reps` over `_solving_field`."""
-    if (cells := _bruhat_cells(mu, nu)) is not None:
-        return len(cells)
-    return len(orbit_reps(mu, nu, _solving_field(mu, nu, field, d), budget))
-
-
-def _q_binomial(m: int, r: int, q: int) -> int:
-    """The number of r-dimensional subspaces of F_q^m."""
-    num = den = 1
-    for j in range(r):
-        num *= q ** (m - j) - 1
-        den *= q ** (j + 1) - 1
-    return num // den
-
-
-def _cell_size(groups, r, q: int, a: int) -> int:
-    """The size of the orbit of cell r, for the group sizes m_i of the
-    other side in descending order of part and a side (1^a): the formula
-    of `_bruhat_cells`."""
-    size, earlier, chosen = 1, 0, 0
-    for m, k in zip(reversed(groups), reversed(r)):
-        size *= _q_binomial(m, k, q) * q ** (k * (earlier - chosen))
-        earlier, chosen = earlier + m, chosen + k
-    for j in range(chosen):
-        size *= q ** a - q ** j
-    return size
-
-
-@lru_cache(maxsize=None)
-def _cell_orbits(mu, nu, field: FiniteField):
-    """The `OrbitSet` of a shape with a side (1^a), built from its cells,
-    memoized by shape and field; None for any other shape.
-
-    For mu = (1^a), group the parts of nu by size in descending order; the
-    representative of the cell (r_i) puts a 1 at the last r_i columns of
-    group i, the chosen columns taken in increasing order on the rows from
-    the bottom up.  For nu = (1^b) it puts a 1 at the last r_i rows of
-    group i of mu, the chosen rows taken in increasing order on the columns
-    from the right leftwards.  Its row space (column space) is spanned by
-    the unit vectors of the chosen parts, r_i of them in group i, so its
-    dimensions against the flag of `_bruhat_cells` are those of the cell:
-    one representative per orbit.  That each is its orbit's lex-minimum,
-    the one a sweep picks, is checked against the sweep over seven fields
-    in the tests.  Its entries are 0 and 1, indices 0 and 1 in every field,
-    so ascending flat tuples are the sweep's ascending states; each is
-    sorted together with its size, so the two stay in the same order.
-    """
-    if (cells := _bruhat_cells(mu, nu)) is None:
-        return None
-    shape = CocentShape(mu, nu, field)
-    rows, cols = len(shape.mu), len(shape.nu)
-    by_column = set(shape.mu) == {1}
-    groups = list(Counter(shape.nu if by_column else shape.mu).values())
-    ends = list(itertools.accumulate(groups))
-    a = rows if by_column else cols
-    pairs = []
-    for r in cells:
-        flat = [field.zero] * (rows * cols)
-        chosen = [j for end, k in zip(ends, r) for j in range(end - k, end)]
-        for t, j in enumerate(chosen):
-            flat[(rows - 1 - t) * cols + j if by_column else j * cols + cols - 1 - t] = field.one
-        pairs.append((tuple(flat), _cell_size(groups, r, field.order, a)))
-    pairs.sort()
-    sizes = tuple(s for _, s in pairs)
-    assert sum(sizes) == field.order ** shape.dim
-    return OrbitSet(shape, tuple(CocentElement.from_flat(shape, f) for f, _ in pairs), sizes)
-
-
-def orbit_reps(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> tuple:
-    """The orbit representatives of the (mu, nu) problem over the field,
-    each the lex-minimum of its orbit, in ascending order: those of
-    `enumerate_orbits`, except that a shape with a side (1^a) reads them
-    from `_cell_orbits`, with nothing swept, so the budget does not apply."""
-    if (orbits := _cell_orbits(mu, nu, field)) is None:
-        return enumerate_orbits(mu, nu, field, budget).reps
-    return orbits.reps
-
-
-def orbit_set(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> OrbitSet:
-    """The orbits of the (mu, nu) problem over the field, as
-    `enumerate_orbits` gives them (lex-min representatives in ascending
-    order, with their sizes), and refused as it refuses the shape
-    (`check_sweep`); a shape with a side (1^a) is then read from
-    `_cell_orbits`, with nothing swept."""
-    if _bruhat_cells(mu, nu) is None:
-        return enumerate_orbits(mu, nu, field, budget)
-    check_sweep(CocentShape(mu, nu, field), budget)
-    return _cell_orbits(mu, nu, field)
+    eigenvalue over the field: `orbit_count` over `_solving_field`."""
+    return orbit_count(mu, nu, _solving_field(mu, nu, field, d), budget)
 
 
 def levi_reps(m: int, n: int, field: FiniteField) -> Iterator[tuple]:
@@ -285,10 +148,11 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     `gf.extension(field, min(m, n))` is checked before a modulus is
     searched for, and the budget and 2^63 against the space of
     (1^m)x(1^n) over the field itself, by arithmetic alone.  That space
-    bounds every one swept: a shape at a degree-d eigenvalue has dimension
-    at most mn/d^2 over F_{q^d}, so at most q^(mn/d) states.  As shapes
-    with a side (1^a) are built and finite-type ones swept over F_2, the
-    checks now guard Levi enumeration, not arithmetic: `levi_reps` lists
+    bounds every shape solved, so `check_sweep` never refuses one here: a
+    shape at a degree-d eigenvalue has dimension at most mn/d^2, so at most
+    q^(mn/d) states over F_{q^d}, and a finite-type one, every shape with a
+    side (1^a) among them, is solved over F_2, with 2^dim <= q^(mn) states.
+    The checks thus guard Levi enumeration, not arithmetic: `levi_reps` lists
     every form of both sides before the first line, and no other limit
     stops it.  Without them, `--m 2 --n 2 --q 1000000007 --reps` would
     test some 10^18 monic quadratics for irreducibility, and `--m 1 --n 3
@@ -301,7 +165,7 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     check_space(bound, budget)
     check_space(bound)
     forms: dict = {}  # form -> (Jordan array, factor offsets)
-    lifts: dict = {}  # (eigenvalue, orbit rep) -> (block, corner block array)
+    lifts: dict = {}  # (eigenvalue, mu, nu) -> [(block, corner block array)]
     for ga, gb in levi_reps(m, n, field):
         for g in (ga, gb):
             if g not in forms:
@@ -313,16 +177,14 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
         per_block = []
         for pr in reduce_levi_pair(ga, gb, field):
             p, r0, c0 = pr.p, ra[pr.p], m + cb[pr.p]
-            choices = []
-            K = _solving_field(pr.mu, pr.nu, field, gf.pdeg(p))
-            for rep in orbit_reps(pr.mu, pr.nu, K, budget):
-                if (p, rep) not in lifts:
-                    v = _read_into(rep, pr.field)
-                    lifts[p, rep] = (p, v), lift(v, p, field).a
-                blk, lf = lifts[p, rep]
-                cell = np.s_[r0:r0 + lf.shape[0], c0:c0 + lf.shape[1]]
-                choices.append((blk, cell, lf))
-            per_block.append(choices)
+            key = p, pr.mu, pr.nu
+            if key not in lifts:
+                K = _solving_field(pr.mu, pr.nu, field, gf.pdeg(p))
+                reps = (_read_into(rep, pr.field)
+                        for rep in enumerate_orbits(pr.mu, pr.nu, K, budget).reps)
+                lifts[key] = [((p, v), lift(v, p, field).a) for v in reps]
+            per_block.append([(blk, np.s_[r0:r0 + lf.shape[0], c0:c0 + lf.shape[1]], lf)
+                              for blk, lf in lifts[key]])
         for combo in itertools.product(*per_block):
             g = levi.copy()
             for _, cell, lf in combo:

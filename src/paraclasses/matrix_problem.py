@@ -1,23 +1,23 @@
 """Solving the truncated-polynomial matrix problem over a finite field.
 
-`enumerate_orbits` sweeps the whole (finite) space and partitions it under
-the combined left/right centralizer action; representatives are the
-lexicographic minimum of each orbit under the fixed element order, so the
-output is deterministic (and field-uniform for finite-type shapes, as the
-tests check).  Generator actions are packed straight from their windows.
+`enumerate_orbits` gives the orbits of a shape over a field, each as its
+lexicographic minimum under the fixed element order, ascending, with its
+size, so the output is deterministic (and field-uniform for finite-type
+shapes, as the tests check).  A shape with a side (1^a) is built in closed
+form from the cells of `_bruhat_cells`, the positions of a row space of
+dimension <= a relative to a partial flag, with q-binomial sizes (proofs
+there); `orbit_count` takes their number with nothing built.  Any other
+shape is swept: its whole space is partitioned under the combined
+left/right centralizer action, generator actions packed from their windows.
 The orbit sets are the only memo of the orbit layer, kept by shape and
 field; the budget is checked before the memo is read, so a smaller budget
-still refuses a space an earlier call swept.  Every limit of the layer is
+still refuses a space an earlier call solved.  Every limit of the layer is
 checked here, where the shape is known and named; `check_space` words the
-state limit, for the sweep and for the space bound `--reps` checks before
-its first line, `check_sweep` refuses a sweep (the budget, array
-arithmetic, 2^63), and the kernels refuse only a closure that outgrows its
-budget.  Counts, representatives and `matprob orbits` never ask for a
-shape with a side (1^a), which `conjugacy` solves in closed form, orbit
-sizes included, after `check_sweep` admits it; counts and representatives
-ask for finite-type shapes over F_2 only, their orbits not depending on
-the field.  Sweeps over any field remain for other shapes, canonical
-forms and the tests' reference.
+state limit, for a shape and for the space bound `--reps` checks before
+its first line, `check_sweep` refuses a shape, built or swept (the budget,
+array arithmetic, 2^63), and the kernels refuse only a closure that
+outgrows its budget.  Counts and representatives ask for finite-type
+shapes over F_2 only, their orbits not depending on the field.
 `reduce_structured` implements the textual greedy pivot reductions for
 row shapes (r) and (r, 1, ..., 1); the other finite-type families go
 through the generic sweep.  `type_classify` applies the proved finiteness
@@ -27,13 +27,16 @@ quantity preserved by all moves on the (4,2) x (4,2) wild form.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import gf
 from .gf import FiniteField
 from .centralizer import AlgElement, alg_from_entry, d_twist, reduced_action_generators
-from .cocentralizer import CocentElement, CocentShape, act_left, act_right
+from .cocentralizer import CocentElement, CocentShape, act_left, act_right, check_sides
 from .errors import BudgetExceeded
 from .kernels import PackedActions, orbit_closure, orbit_partition
 from .partitions import check_partition
@@ -138,21 +141,136 @@ def check_sweep(shape: CocentShape, budget: int = 2 ** 63) -> int:
     return space
 
 
+@lru_cache(maxsize=None)
+def _bruhat_cells(mu, nu):
+    """The cells (r_1..r_k) of a shape with a side (1^a), None for any other
+    shape, refused as `CocentShape` refuses malformed sides: with m_1..m_k
+    the multiplicities of the distinct parts of the other side, in
+    descending order of part, every tuple with 0 <= r_i <= m_i and
+    sum r_i <= a.  They are its orbits.
+
+    Proof, for mu = (1^a) (nu = (1^b) is the transpose): every entry has
+    length min(1, nu_j) = 1, so the space is the a x l(nu) matrices over K,
+    and Aut((1^a)) acts on the left as all of GL_a.  On the right only the
+    constant terms of Aut(nu) survive the truncation.  An entry between
+    parts of different sizes has offset 0, so a constant term, in one
+    direction only; the constant terms thus make up the parabolic P of
+    GL_{l(nu)} that fixes the flag F_1 < ... < F_k whose quotients
+    F_i / F_{i-1} gather the m_i parts of one size, ordered by size, with
+    Levi factor prod GL_{m_i}, and every element of P occurs.  GL_a reduces
+    a matrix to its row space W, of any dimension <= a, and the P-orbits of
+    subspaces are their positions relative to the flag (the Bruhat
+    decomposition of the Grassmannian): the tuples
+    r_i = dim(W & F_i) - dim(W & F_{i-1}), each with 0 <= r_i <= m_i, all
+    of which occur.
+
+    The size of the orbit of a cell, with q = |K|, k = sum r_i, and F_i
+    taken from the smallest part upward (M_{<i}, R_{<i} the sums of the
+    m_j, r_j of the earlier groups), is
+
+        prod_i [m_i choose r_i]_q q^(r_i (M_{<i} - R_{<i})) * prod_{j<k} (q^a - q^j).
+
+    The first product counts the subspaces W of the cell (Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. II), group by group:
+    given W & F_{i-1}, of dimension R_{<i}, the space W & F_i is fixed by
+    its image in F_i / F_{i-1}, an r_i-dimensional subspace of an
+    m_i-dimensional space ([m_i choose r_i]_q choices), and by a lift of
+    it, a linear map from that image to F_{i-1} / (W & F_{i-1}), of
+    dimension M_{<i} - R_{<i}.  The second counts the matrices with one
+    given row space W: a basis of W fixed, they are the a x k matrices of
+    rank k, whose rows are its coordinates.  `enumerate_orbits` checks that
+    the sizes add up to q^(a l(nu)).
+    """
+    mu, nu = check_sides(mu, nu)
+    for side, other in ((mu, nu), (nu, mu)):
+        if set(side) == {1}:
+            return tuple(r for r in itertools.product(
+                *(range(m + 1) for m in Counter(other).values())) if sum(r) <= len(side))
+    return None
+
+
+def _q_binomial(m: int, r: int, q: int) -> int:
+    """The number of r-dimensional subspaces of F_q^m."""
+    num = den = 1
+    for j in range(r):
+        num *= q ** (m - j) - 1
+        den *= q ** (j + 1) - 1
+    return num // den
+
+
+def _cell_size(groups, r, q: int, a: int) -> int:
+    """The size of the orbit of cell r, for the group sizes m_i of the
+    other side in descending order of part and a side (1^a): the formula
+    of `_bruhat_cells`."""
+    size, earlier, chosen = 1, 0, 0
+    for m, k in zip(reversed(groups), reversed(r)):
+        size *= _q_binomial(m, k, q) * q ** (k * (earlier - chosen))
+        earlier, chosen = earlier + m, chosen + k
+    for j in range(chosen):
+        size *= q ** a - q ** j
+    return size
+
+
+def _cell_orbits(shape: CocentShape, cells) -> tuple:
+    """The representatives and sizes of the orbits of a shape with a side
+    (1^a), one per cell, in ascending order of representative.
+
+    For mu = (1^a), group the parts of nu by size in descending order; the
+    representative of the cell (r_i) puts a 1 at the last r_i columns of
+    group i, the chosen columns taken in increasing order on the rows from
+    the bottom up.  For nu = (1^b) it puts a 1 at the last r_i rows of
+    group i of mu, the chosen rows taken in increasing order on the columns
+    from the right leftwards.  Its row space (column space) is spanned by
+    the unit vectors of the chosen parts, r_i of them in group i, so its
+    dimensions against the flag of `_bruhat_cells` are those of the cell:
+    one representative per orbit.  That each is its orbit's lex-minimum,
+    the one a sweep picks, is checked against the sweep over seven fields
+    in the tests.  Its entries are 0 and 1, indices 0 and 1 in every field,
+    so ascending flat tuples are the sweep's ascending states; each is
+    sorted together with its size, so the two stay in the same order.
+    """
+    field = shape.field
+    rows, cols = len(shape.mu), len(shape.nu)
+    by_column = set(shape.mu) == {1}
+    groups = list(Counter(shape.nu if by_column else shape.mu).values())
+    ends = list(itertools.accumulate(groups))
+    a = rows if by_column else cols
+    pairs = []
+    for r in cells:
+        flat = [field.zero] * (rows * cols)
+        chosen = [j for end, k in zip(ends, r) for j in range(end - k, end)]
+        for t, j in enumerate(chosen):
+            flat[(rows - 1 - t) * cols + j if by_column else j * cols + cols - 1 - t] = field.one
+        pairs.append((tuple(flat), _cell_size(groups, r, field.order, a)))
+    flats, sizes = zip(*sorted(pairs))
+    return tuple(CocentElement.from_flat(shape, f) for f in flats), sizes
+
+
 def enumerate_orbits(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> OrbitSet:
-    """Complete orbit partition of the space for (mu, nu) over the field,
-    memoized by shape and field once `check_sweep` admits the space."""
+    """The orbits of (mu, nu) over the field, lex-min representatives in
+    ascending order with their sizes: built from the cells of a shape with
+    a side (1^a), swept for any other shape, each once `check_sweep` admits
+    the space, and memoized by shape and field."""
     shape = CocentShape(mu, nu, field)
     space = check_sweep(shape, budget)
     key = shape.key()
     if key not in _orbit_cache:
-        reps, sizes = orbit_partition(packed_actions(shape))
+        if (cells := _bruhat_cells(shape.mu, shape.nu)) is None:
+            states, sizes = orbit_partition(packed_actions(shape))
+            reps = tuple(decode(s, shape) for s in states)
+        else:
+            reps, sizes = _cell_orbits(shape, cells)
         assert sum(sizes) == space
-        _orbit_cache[key] = OrbitSet(shape, tuple(decode(r, shape) for r in reps),
-                                     tuple(sizes))
+        _orbit_cache[key] = OrbitSet(shape, reps, tuple(sizes))
     return _orbit_cache[key]
 
 
 def orbit_count(mu, nu, field: FiniteField, budget: int = DEFAULT_BUDGET) -> int:
+    """The number of orbits of (mu, nu) over the field, with nothing built:
+    the number of cells of a shape with a side (1^a), where no budget
+    applies, else the count of `enumerate_orbits`."""
+    if (cells := _bruhat_cells(tuple(mu), tuple(nu))) is not None:
+        return len(cells)
     return enumerate_orbits(mu, nu, field, budget).count
 
 

@@ -330,23 +330,38 @@ def reference_is_irreducible(f, field):
     return psub(ppow_mod(x, q ** d, f, field), x, field) == ()
 
 
+def swept_orbits(mu, nu, field):
+    """The orbits of (mu, nu) over the field from a sweep of the whole
+    space, with no closed form and no memo: lex-min representatives in
+    ascending order with their sizes (the reference of `enumerate_orbits`)."""
+    from paraclasses import kernels
+    from paraclasses.cocentralizer import CocentShape
+    from paraclasses.matrix_problem import OrbitSet, decode, packed_actions
+    shape = CocentShape(mu, nu, field)
+    states, sizes = kernels.orbit_partition(packed_actions(shape))
+    return OrbitSet(shape, tuple(decode(s, shape) for s in states), tuple(sizes))
+
+
 def reference_class_count(m, n, field):
     """Class count of P(m, n) by the Levi-pair loop: over every pair of
     invertible Jordan forms, the product of the orbit counts of its
     per-eigenvalue problems (the path the type-level count replaced).
     Every orbit count comes from a sweep, over F_2 for finite-type shapes
     and over the problem's own field otherwise, never from the closed form
-    of `orbit_count_cached`."""
+    of `enumerate_orbits`."""
     from paraclasses.cocentralizer import reduce_levi_pair
     from paraclasses.conjugacy import levi_reps
     from paraclasses.gf import ff
-    from paraclasses.matrix_problem import enumerate_orbits, type_classify
-    total = 0
+    from paraclasses.matrix_problem import type_classify
+    total, counts = 0, {}
     for ga, gb in levi_reps(m, n, field):
         prod = 1
         for pr in reduce_levi_pair(ga, gb, field):
             finite = type_classify(pr.mu, pr.nu).kind == "finite"
-            prod *= enumerate_orbits(pr.mu, pr.nu, ff(2) if finite else pr.field).count
+            key = pr.mu, pr.nu, ff(2) if finite else pr.field
+            if key not in counts:
+                counts[key] = swept_orbits(*key).count
+            prod *= counts[key]
         total += prod
     return total
 

@@ -72,6 +72,7 @@ def test_matprob_orbits_of_a_one_power_side_sweep_nothing(capsys, monkeypatch, q
     from paraclasses.cocentralizer import cocent_to_json
     from paraclasses.conjugacy import _JSON
     from paraclasses.gf import ff_order
+    from helpers import swept_orbits
     swept, sweep = [], kernels.orbit_partition
 
     def sweeping(pa):
@@ -85,7 +86,7 @@ def test_matprob_orbits_of_a_one_power_side_sweep_nothing(capsys, monkeypatch, q
                                   "--nu", nu])
     assert code == 0 and swept == []
     mu_, nu_ = (tuple(map(int, lam.split(","))) for lam in (mu, nu))
-    orbits = mp.enumerate_orbits(mu_, nu_, ff_order(q))
+    orbits = swept_orbits(mu_, nu_, ff_order(q))
     assert swept == [q ** orbits.shape.dim]
     assert out == _JSON.encode({
         "mu": list(mu_), "nu": list(nu_), "q": q, "count": orbits.count,

@@ -11,13 +11,13 @@ from paraclasses.matrices import Mat, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
                                    class_rep_line, class_rep_to_json, count_poly,
                                    gl_class_count, levi_reps,
-                                   orbit_count_cached, orbit_reps, orbit_set,
-                                   parabolic_class_count, parabolic_class_reps)
+                                   orbit_count_cached, parabolic_class_count,
+                                   parabolic_class_reps)
 from paraclasses.oracle import oracle_agl, oracle_classes
 
 from helpers import (block, class_rep_from_json, prime_powers,
                      reference_class_count, reference_class_rep_json,
-                     reference_count_poly)
+                     reference_count_poly, swept_orbits)
 
 F2, F3, F4 = ff(2), ff(3), ff(2, 2)
 
@@ -124,7 +124,6 @@ def test_orbit_count_memo_is_field_independent():
 def test_one_power_side_closed_form_matches_the_sweep():
     # every (1^a) x nu and nu x (1^a), a <= 4, |nu| <= 5, that fits in 2^20
     # states, against the orbit count of a sweep over the field itself
-    from paraclasses.matrix_problem import enumerate_orbits
     from paraclasses.partitions import partitions
     compared = 0
     for a in range(1, 5):
@@ -134,17 +133,26 @@ def test_one_power_side_closed_form_matches_the_sweep():
                     continue
                 for mu_, nu_ in (((1,) * a, nu), (nu, (1,) * a)):
                     assert orbit_count_cached(mu_, nu_, field, 1) == \
-                        enumerate_orbits(mu_, nu_, field).count, (mu_, nu_, field)
+                        swept_orbits(mu_, nu_, field).count, (mu_, nu_, field)
                     compared += 1
     assert compared == 280
 
 
-def test_one_power_side_reps_match_the_sweep():
+def test_one_power_side_reps_match_the_sweep(monkeypatch):
     # every (1^a) x nu and nu x (1^a), a <= 6, |nu| <= 6, that fits in 2^14
     # states over seven fields: the built reps and sizes are the sweep's, in
-    # its order, and the count, the number of cells, is the number of reps
-    from paraclasses.matrix_problem import enumerate_orbits
+    # its order, the count, the number of cells, is the number of reps, and
+    # the orbit layer hands none of these shapes to the kernel
+    import paraclasses.matrix_problem as mp
     from paraclasses.partitions import partitions
+    sweep, swept = mp.orbit_partition, []
+
+    def sweeping(pa):
+        swept.append(pa.space())
+        return sweep(pa)
+
+    monkeypatch.setattr(mp, "_orbit_cache", {})
+    monkeypatch.setattr(mp, "orbit_partition", sweeping)
     compared = 0
     for a in range(1, 7):
         for nu in (nu for k in range(1, 7) for nu in partitions(k)):
@@ -152,14 +160,12 @@ def test_one_power_side_reps_match_the_sweep():
                 if field.order ** (a * len(nu)) > 1 << 14:
                     continue
                 for mu_, nu_ in (((1,) * a, nu), (nu, (1,) * a)):
-                    built, swept = orbit_set(mu_, nu_, field), enumerate_orbits(mu_, nu_, field)
-                    assert (built.reps, built.sizes) == (swept.reps, swept.sizes), \
+                    built, ref = mp.enumerate_orbits(mu_, nu_, field), swept_orbits(mu_, nu_, field)
+                    assert (built.reps, built.sizes) == (ref.reps, ref.sizes), \
                         (mu_, nu_, field)
-                    assert orbit_reps(mu_, nu_, field) == swept.reps
-                    assert orbit_count_cached(mu_, nu_, field, 1) == \
-                        len(orbit_reps(mu_, nu_, field))
+                    assert orbit_count_cached(mu_, nu_, field, 1) == built.count
                     compared += 1
-    assert compared == 1120
+    assert compared == 1120 and swept == []
 
 
 def test_one_power_side_sizes_past_the_sweep_grid():
@@ -169,7 +175,8 @@ def test_one_power_side_sizes_past_the_sweep_grid():
     # A rank-1 matrix is a line, times the 8^4 - 1 nonzero columns that
     # span it: the lines in the 2-dimensional span of the parts of size 1,
     # in that of size 2 off it, and in that of size 3 off both
-    orbits = orbit_set((1,) * 4, (3, 3, 2, 1, 1), ff(2, 3), budget=1 << 60)
+    from paraclasses.matrix_problem import enumerate_orbits
+    orbits = enumerate_orbits((1,) * 4, (3, 3, 2, 1, 1), ff(2, 3), budget=1 << 60)
     assert orbits.count == 17 and sum(orbits.sizes) == 1 << 60
     size = {r.flat(): s for r, s in zip(orbits.reps, orbits.sizes)}
     unit = [tuple(int(i == k) for i in range(20)) for k in range(20)]
@@ -208,13 +215,13 @@ def test_f2_reps_read_into_larger_fields_are_canonical():
     # lex-minimum of its orbit there, on every orbit that closes within
     # the budget
     from paraclasses.cocentralizer import CocentElement, CocentShape
-    from paraclasses.matrix_problem import canonical_form
+    from paraclasses.matrix_problem import canonical_form, enumerate_orbits
     checked = 0
     for mu, nu in [((2, 2, 1), (2, 1, 1)), ((3, 2), (2, 2, 1)),
                    ((2, 2, 1), (2, 2, 1)), ((3, 1, 1), (2, 2))]:
         for field in (F3, ff(5)):
             shape = CocentShape(mu, nu, field)
-            for rep in orbit_reps(mu, nu, F2):
+            for rep in enumerate_orbits(mu, nu, F2).reps:
                 v = CocentElement.from_flat(shape, rep.flat())
                 try:
                     assert canonical_form(v, budget=20000) == v, (v, field)

@@ -14,7 +14,7 @@ from paraclasses.matrix_problem import (canonical_form, decode, encode,
 from paraclasses.partitions import partitions
 
 from helpers import (aut_order, cocent_elements, cocent_zero, reference_orbits,
-                     reference_packed_gens, reference_tables)
+                     reference_packed_gens, reference_tables, swept_orbits)
 
 F2, F3, F4, F9 = ff(2), ff(3), ff(2, 2), ff(3, 2)
 
@@ -54,11 +54,21 @@ def test_budget_exceeded():
 
 
 def test_orbit_memo_returns_the_same_set_and_still_checks_the_budget():
-    os_ = enumerate_orbits((2, 1), (1, 1), F3)
-    assert enumerate_orbits((2, 1), (1, 1), F3) is os_
-    with pytest.raises(BudgetExceeded) as ei:
-        enumerate_orbits((2, 1), (1, 1), F3, budget=3 ** os_.shape.dim - 1)
-    assert ei.value.required == 3 ** os_.shape.dim
+    # a shape built from its cells and a swept one share the one memo
+    for mu, nu in (((2, 1), (1, 1)), ((2, 1), (2, 1))):
+        os_ = enumerate_orbits(mu, nu, F3)
+        assert enumerate_orbits(mu, nu, F3) is os_
+        with pytest.raises(BudgetExceeded) as ei:
+            enumerate_orbits(mu, nu, F3, budget=3 ** os_.shape.dim - 1)
+        assert ei.value.required == 3 ** os_.shape.dim
+
+
+def test_malformed_partitions_raise_before_the_cells_are_read():
+    for mu, nu in (((1,), (2, 3)), ((1,), (0,)), ((2, 3), (1,)), ((1,), ())):
+        with pytest.raises(ValueError):
+            orbit_count(mu, nu, F2)
+        with pytest.raises(ValueError):
+            enumerate_orbits(mu, nu, F2)
 
 
 def test_canonical_form_budget_is_orbit_local():
@@ -172,7 +182,7 @@ def test_orbit_sizes_divide_the_group_order(field):
         if q ** CocentShape(mu, nu, field).dim > 1 << 16:
             continue
         group = aut_order(mu, q) * aut_order(nu, q)
-        assert all(group % s == 0 for s in enumerate_orbits(mu, nu, field).sizes), (mu, nu)
+        assert all(group % s == 0 for s in swept_orbits(mu, nu, field).sizes), (mu, nu)
 
 
 def test_orbit_count_field_independence_small():
@@ -273,7 +283,7 @@ def test_shared_degree_field_gives_the_per_eigenvalue_reps(field, d):
         want = ([r.flat() for r in orb.reps], orb.sizes)
         assert all(c < field.order for r in orb.reps for c in r.flat()), (mu, nu)
         for p in irreducibles(d, field):
-            ref = enumerate_orbits(mu, nu, extend(field, p))
+            ref = swept_orbits(mu, nu, extend(field, p))
             assert ([r.flat() for r in ref.reps], ref.sizes) == want, (mu, nu, p)
 
 
