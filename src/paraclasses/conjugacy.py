@@ -249,8 +249,9 @@ def count_poly(m: int, n: int, budget: int = DEFAULT_BUDGET) -> CountPolynomial:
     whose Fraction coefficients keep the necklace formula's division by d
     exact.
 
-    With m < 6 or n < 6 every shape is of finite type (a side of size
-    < 6), so every orbit count is a constant and the sum is exact.
+    With m < 6 or n < 6 every shape is of finite type: `type_classify`
+    puts every side of size < 6 in a proved family.  So every orbit
+    count is a constant and the sum is exact.
     Non-integer coefficients signal an implementation bug and raise.
     """
     from numpy.polynomial import Polynomial

@@ -4,8 +4,9 @@ A form is a tuple of (monic irreducible polynomial, partition) pairs sorted
 by (degree, coefficient sequence).  Jordan blocks follow the subdiagonal
 convention: the companion matrix repeats on the diagonal with identity
 blocks directly below it, and the companion matrix of p is the matrix of
-multiplication by a root of p on the power basis.  Two matrices are
-similar exactly when their forms agree; `conjugator` then certifies it.
+multiplication by a root of p on the power basis; `assemble` writes a
+form's blocks in place into one matrix.  Two matrices are similar exactly
+when their forms agree; `conjugator` then certifies it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import gf
 from .gf import FiniteField, Poly
-from .matrices import Mat, char_poly, direct_sum, rank_sequence
+from .matrices import Mat, char_poly, rank_sequence
 from .partitions import check_partition, partitions
 
 GJNF = tuple  # tuple of (poly, partition) pairs, canonically sorted
@@ -46,20 +47,7 @@ def jordan_block(p: Poly, n: int, field: FiniteField) -> Mat:
         raise ValueError("block multiplicity must be >= 1")
     if not gf.is_irreducible(p, field):
         raise ValueError("p must be irreducible")
-    return _block(p, n, field)
-
-
-def _block(p: Poly, n: int, field: FiniteField) -> Mat:
-    """jordan_block of a p known to be irreducible and an n >= 1."""
-    d = gf.pdeg(p)
-    c = companion(p, field)
-    m = Mat.zeros(field, n * d, n * d)
-    for i in range(n):
-        m.a[i * d:(i + 1) * d, i * d:(i + 1) * d] = c.a
-        if i:
-            for k in range(d):
-                m.a[i * d + k, (i - 1) * d + k] = field.one
-    return m
+    return assemble(((p, (n,)),), field)
 
 
 def canonical_sort(factors) -> GJNF:
@@ -72,16 +60,23 @@ def canonical_sort(factors) -> GJNF:
 
 
 def assemble(form: GJNF, field: FiniteField) -> Mat:
-    """Direct sum over factors of the per-part Jordan blocks.  Each
-    polynomial must be monic irreducible, as `enumerate_gjnf` and `gjnf`
-    give them; unlike `jordan_block`, this does not re-check it."""
-    blocks = []
-    for p, lam in canonical_sort(form):
+    """The form's Jordan blocks written in place down the diagonal of one
+    zero matrix, from one companion matrix per factor; I_d goes below every
+    copy after the first of a part.  Each polynomial must be monic
+    irreducible, as `enumerate_gjnf` and `gjnf` give them; unlike
+    `jordan_block`, this does not re-check it."""
+    form = canonical_sort(form)
+    n = sum(sum(lam) * gf.pdeg(p) for p, lam in form)
+    a, off = np.zeros((n, n), dtype=np.int32), 0
+    for p, lam in form:
+        d, c = gf.pdeg(p), companion(p, field).a
         for part in lam:
-            blocks.append(_block(p, part, field))
-    if not blocks:
-        return Mat.zeros(field, 0, 0)
-    return direct_sum(*blocks)
+            if part > 1:
+                np.fill_diagonal(a[off + d:off + part * d, off:], field.one)
+            for _ in range(part):
+                a[off:off + d, off:off + d] = c
+                off += d
+    return Mat(field, a)
 
 
 def factor_offsets(form: GJNF, field: FiniteField) -> dict:

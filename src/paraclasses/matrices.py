@@ -159,19 +159,6 @@ class Mat:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def direct_sum(*mats: Mat) -> Mat:
-    field = mats[0].field
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = np.zeros((rows, cols), dtype=np.int32)
-    r = c = 0
-    for m in mats:
-        out[r:r + m.rows, c:c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return Mat(field, out)
-
-
 def mat_str(m: Mat) -> str:
     """Rows separated by ';', entries by spaces."""
     s = m.field.element_str

@@ -419,15 +419,16 @@ def _has_wild_pattern(lam) -> bool:
 
 
 def type_classify(mu, nu) -> TypeVerdict:
-    """Finite via the proved families or a side of size < 6; infinite via the
-    wild (4,2) pattern on both sides; unknown otherwise."""
+    """Finite via the proved families on either side, which hold every
+    partition of size < 6: at most one part above 1 is (r,1^b), no part
+    above 2 is (2^a,1^b), and two parts above 1, one of them above 2,
+    leave only (3,2) in size 5.  Infinite via the wild (4,2) pattern on
+    both sides; unknown otherwise."""
     mu, nu = check_partition(mu), check_partition(nu)
     for name, lam in (("mu", mu), ("nu", nu)):
         fam = _finite_family(lam)
         if fam is not None:
             return TypeVerdict("finite", f"{name} of the form {fam}")
-        if sum(lam) < 6:
-            return TypeVerdict("finite", f"|{name}| < 6")
     if _has_wild_pattern(mu) and _has_wild_pattern(nu):
         return TypeVerdict("infinite", "(4,2) pattern embeds on both sides")
     return TypeVerdict("unknown", "no applicable rule")

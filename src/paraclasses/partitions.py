@@ -6,10 +6,10 @@ from functools import lru_cache
 
 
 def check_partition(lam) -> tuple:
-    lam = tuple(int(x) for x in lam)
-    if any(x < 1 for x in lam):
+    lam = tuple(map(int, lam))
+    if lam and min(lam) < 1:
         raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if list(lam) != sorted(lam, reverse=True):
         raise ValueError(f"partition parts must be weakly decreasing: {lam}")
     return lam
 

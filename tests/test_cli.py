@@ -358,6 +358,12 @@ def test_gjnf_rejects_an_extension_degree_below_one(capsys, ext):
     assert out == "" and err == f"error: --ext must be >= 1, got {ext}\n"
 
 
+def test_gjnf_rejects_a_non_square_matrix(capsys):
+    assert run(["gjnf", "--q", "2", "--matrix", "1 0;0 1;1 1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: matrix must be square\n"
+
+
 @pytest.mark.parametrize("poly", ["1,2", "1,1,2"])
 def test_centralizer_rejects_a_non_monic_poly_at_every_degree(capsys, poly):
     assert run(["centralizer", "--q", "3", "--lambda", "1", "--poly", poly]) == 2

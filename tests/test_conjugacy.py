@@ -388,6 +388,28 @@ def test_class_rep_json_roundtrip():
         assert back.blocks == rep.blocks and back.matrix == rep.matrix
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: oracle_classes(1, 1, F2).class_of(Mat.identity(F2, 3)),
+     "element has the wrong size"),
+    (lambda: oracle_classes(1, 1, F2).class_of(Mat.from_rows(F2, [[1, 0], [1, 1]])),
+     "element is not block upper-triangular"),
+    (lambda: list(levi_reps(0, 1, F2)), "block dimensions must be >= 1"),
+    (lambda: list(levi_reps(1, 0, F2)), "block dimensions must be >= 1"),
+    (lambda: parabolic_class_count(0, 1, F2), "block dimensions must be >= 1"),
+    (lambda: parabolic_class_count(1, 0, F2), "block dimensions must be >= 1"),
+    (lambda: list(parabolic_class_reps(0, 1, F2)), "block dimensions must be >= 1"),
+    (lambda: list(parabolic_class_reps(1, 0, F2)), "block dimensions must be >= 1"),
+    (lambda: count_poly(0, 1), "block dimensions must be >= 1"),
+    (lambda: count_poly(1, 0), "block dimensions must be >= 1"),
+    (lambda: count_poly(6, 6), "count polynomial only available for m < 6 or n < 6"),
+    (lambda: gl_class_count(-1, F2), "n must be >= 0"),
+    (lambda: agl_class_count(0, F2), "n must be >= 1"),
+    (lambda: list(agl_class_reps(0, F2)), "n must be >= 1")])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_oracle_budget():
     with pytest.raises(BudgetExceeded) as ei:
         oracle_classes(2, 2, F3, budget=100)

@@ -65,6 +65,17 @@ def test_field_construction_errors():
             ff_order(q)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: extend(ff(3), (1,)), ValueError, "modulus must have degree >= 1"),
+    (lambda: extend(ff(3), (1, 0, 2)), ValueError, "modulus must be monic"),
+    (lambda: extend(ff(2), (0, 0, 1)), ValueError, "modulus must be irreducible"),
+    (lambda: pdivmod((1, 1), (), ff(2)), ZeroDivisionError, "polynomial division by zero"),
+    (lambda: irreducible_count(0, 2), ValueError, "degree must be >= 1")])
+def test_malformed_polynomial_input_is_refused(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_arithmetic_examples():
     F4 = ff(2, 2)
     w = F4.from_coeffs((0, 1))  # the adjoined generator

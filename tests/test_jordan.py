@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from helpers import gjnf_from_json, gl_conjugacy_classes_bruteforce, random_invertible
+from helpers import block, gjnf_from_json, gl_conjugacy_classes_bruteforce, random_invertible
 from paraclasses.gf import ff, ff_order
 from paraclasses.jordan import (assemble, canonical_sort, companion, conjugator,
                                 enumerate_gjnf, factor_offsets, gjnf, gjnf_to_json,
                                 jordan_block)
-from paraclasses.matrices import Mat, direct_sum, eval_poly_at, mat_parse
+from paraclasses.matrices import Mat, eval_poly_at, mat_parse
 
 F2, F3 = ff(2), ff(3)
 
@@ -41,6 +41,52 @@ def test_assemble_examples():
     # eigenvalue-2 block over F_3 comes from the factor t - 2 = t + 1
     assert assemble((((1, 1), (2,)),), F3) == Mat.from_rows(F3, [[2, 0], [1, 2]])
     assert assemble((), F2).rows == 0
+
+
+def reference_assemble(form, field):
+    """The block-diagonal of the form's Jordan blocks laid out as a grid of
+    d x d pieces: a companion matrix on the diagonal, I_d below every copy
+    after the first of a part, zeros elsewhere."""
+    diag, below = [], []
+    for p, lam in canonical_sort(form):
+        for part in lam:
+            diag += [companion(p, field)] * part
+            below += [False] + [True] * (part - 1)
+    if not diag:
+        return Mat.zeros(field, 0, 0)
+    eye = {c.rows: Mat.identity(field, c.rows) for c in diag}
+    return block([[c if i == j else eye[c.rows] if j == i - 1 and below[i]
+                   else Mat.zeros(field, c.rows, b.rows)
+                   for j, b in enumerate(diag)] for i, c in enumerate(diag)])
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (9, 3)])
+def test_assemble_matches_the_block_grid(q, n):
+    field = ff_order(q)
+    forms = [f for k in range(n + 1) for f in enumerate_gjnf(k, field)]
+    assert any(len(f) > 1 and any(len(lam) > 1 for _, lam in f) for f in forms)
+    assert any(len(p) > 2 for f in forms for p, _ in f)
+    for form in forms:
+        want = reference_assemble(form, field)
+        assert assemble(form, field) == want
+        assert assemble(form[::-1], field) == want  # canonicalised first
+        if len(form) == 1 and len(form[0][1]) == 1:
+            (p, (part,)), = form
+            assert jordan_block(p, part, field) == want
+    assert assemble((), field) == Mat.zeros(field, 0, 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: canonical_sort([((1, 1), (1,)), ((1, 1), (2,))]),
+     "duplicate generalized eigenvalue in form data"),
+    (lambda: gjnf(Mat.zeros(F2, 2, 3)), "gjnf needs a square matrix"),
+    (lambda: conjugator(Mat.identity(F2, 2), Mat.identity(F2, 3)),
+     "conjugator needs square matrices of equal size"),
+    (lambda: conjugator(Mat.zeros(F2, 2, 3), Mat.zeros(F2, 2, 3)),
+     "conjugator needs square matrices of equal size")])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_enumeration_examples():
@@ -96,7 +142,8 @@ def test_conjugator_on_a_degree_two_eigenvalue():
     # of size 1, though both have characteristic polynomial p^2
     p = (1, 1, 1)
     j2 = jordan_block(p, 2, F2)
-    cc = direct_sum(companion(p, F2), companion(p, F2))
+    c, zero = companion(p, F2), Mat.zeros(F2, 2, 2)
+    cc = block([[c, zero], [zero, c]])
     assert conjugator(j2, cc) is None
     g = random_invertible(F2, 4, random.Random(2))
     b = g @ j2 @ g.inverse()

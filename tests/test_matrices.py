@@ -1,3 +1,4 @@
+import operator
 import random
 
 import numpy as np
@@ -6,18 +7,15 @@ import pytest
 from helpers import random_invertible
 from paraclasses.gf import ff, padd, pmul, pnormalize, psub
 from paraclasses.jordan import SimilarityUndetermined, conjugator
-from paraclasses.matrices import (Mat, char_poly, direct_sum, eval_poly_at,
-                                  mat_parse, mat_str)
+from paraclasses.matrices import Mat, char_poly, eval_poly_at, mat_parse, mat_str
 
 F2, F3 = ff(2), ff(3)
 
 
-def test_rank_inverse_direct_sum_examples():
+def test_rank_inverse_examples():
     j2 = Mat.from_rows(F2, [[0, 0], [1, 0]])
     assert j2.rank() == 1
     assert Mat.identity(F3, 3).inverse() == Mat.identity(F3, 3)
-    assert direct_sum(Mat.from_rows(F3, [[1]]), Mat.from_rows(F3, [[2]])) \
-        == Mat.from_rows(F3, [[1, 0], [0, 2]])
 
 
 def test_singular_inverse_raises():
@@ -32,6 +30,12 @@ def test_dimension_mismatch_raises():
         Mat.zeros(F2, 2, 2) @ Mat.zeros(F2, 3, 3)
     with pytest.raises(ValueError):
         Mat.zeros(F2, 2, 2) + Mat.zeros(F2, 2, 3)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+def test_arithmetic_across_two_fields_raises(op):
+    with pytest.raises(ValueError, match="^matrices over different fields$"):
+        op(Mat.identity(F2, 2), Mat.identity(F3, 2))
 
 
 def test_char_poly_examples():

@@ -239,6 +239,12 @@ def test_type_classification_examples():
     assert type_classify((4, 2), (3, 3)).kind == "unknown"
 
 
+def test_every_side_of_size_below_six_is_in_a_proved_family():
+    for lam in (lam for k in range(6) for lam in partitions(k)):
+        assert type_classify(lam, (3, 3)).rule.startswith("mu of the form ")
+        assert type_classify((3, 3), lam).rule.startswith("nu of the form ")
+
+
 def test_wild_invariant_examples():
     sh = CocentShape((4, 2), (4, 2), F3)
 
