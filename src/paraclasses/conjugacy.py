@@ -4,19 +4,21 @@ A class of the block group is located by a pair of Jordan forms (the Levi
 representative) together with one orbit representative of the per-eigenvalue
 matrix problem for every shared generalized eigenvalue; the assembled
 witness is [[A, V], [0, B]] with V the sum of the lifted blocks.
-Representatives reuse each form's assembled Jordan array and factor
-offsets across its Levi pairs, place both forms into one array per Levi
-pair, and read each (eigenvalue, shape)'s orbits and lift their
-representatives once per call.
+Representatives read each (eigenvalue, shape)'s orbits and lift their
+representatives once per call, and build no array per class: the matrix
+text is joined from each form's rows, formatted once per form and field,
+and each lift's rows, formatted once per call, and the matrix is
+assembled only when `ClassRep.matrix` is read.
 Their JSON line, `class_rep_line`, joins text encoded once: each form's
 text is memoized by form and field, each block's by eigenvalue, orbit
-representative and field, so a class pays only for its matrix text and
-the join.  Counting never enumerates Levi pairs: the number of orbits at
-an eigenvalue depends only on its pair of partitions and its degree, so
-classes are counted by type, as the coefficient of x^m y^n in a product of
-one power series per degree raised to the number of irreducibles of that
-degree.  The orbits of a shape come from `matrix_problem`, which answers
-a shape with a side (1^a) from its Bruhat cells and sweeps no such shape.
+representative and field, so a class pays only for the escaping of its
+matrix text and the join.  Counting never enumerates Levi pairs: the
+number of orbits at an eigenvalue depends only on its pair of partitions
+and its degree, so classes are counted by type, as the coefficient of
+x^m y^n in a product of one power series per degree raised to the number
+of irreducibles of that degree.  The orbits of a shape come from
+`matrix_problem`, which answers a shape with a side (1^a) from its Bruhat
+cells and sweeps no such shape.
 `_solving_field` picks the field that solves a shape,
 for counts and representatives alike, so both read the same memo
 entries: F_2 for a finite-type shape (field independence is checked in
@@ -39,7 +41,7 @@ from . import gf
 from .gf import FiniteField, Poly, ff
 from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
                      factor_offsets, gjnf_to_json)
-from .matrices import Mat, mat_str
+from .matrices import Mat, row_texts
 from .cocentralizer import (CocentElement, CocentShape, cocent_to_json, lift,
                             reduce_levi_pair)
 from .matrix_problem import (DEFAULT_BUDGET, check_space, enumerate_orbits, orbit_count,
@@ -130,20 +132,47 @@ def parabolic_class_count(m: int, n: int, field: FiniteField,
 
 @dataclass
 class ClassRep:
-    """A conjugacy class representative of the block group."""
+    """A conjugacy class representative of the block group: its Levi pair,
+    a (poly, CocentElement) block per shared eigenvalue, and the text of
+    its matrix [[A, V], [0, B]], rows separated by ';' and entries by
+    spaces, as `mat_str` writes it."""
     levi_a: GJNF
     levi_b: GJNF
     blocks: tuple          # (poly, CocentElement) per shared eigenvalue
-    matrix: Mat            # [[A, V], [0, B]]
+    field: FiniteField
+    matrix_text: str
+
+    @property
+    def matrix(self) -> Mat:
+        """[[A, V], [0, B]]: both forms assembled, each block lifted at its
+        factor offsets, on every read.  Output reads `matrix_text` only."""
+        f = self.field
+        a, b = assemble(self.levi_a, f).a, assemble(self.levi_b, f).a
+        m = len(a)
+        g = np.zeros((m + len(b), m + len(b)), dtype=np.int32)
+        g[:m, :m], g[m:, m:] = a, b
+        ra, cb = factor_offsets(self.levi_a, f), factor_offsets(self.levi_b, f)
+        for p, v in self.blocks:
+            lf = lift(v, p, f).a
+            g[ra[p]:ra[p] + lf.shape[0], m + cb[p]:m + cb[p] + lf.shape[1]] = lf
+        return Mat(f, g)
 
 
 def parabolic_class_reps(m: int, n: int, field: FiniteField,
                          budget: int = DEFAULT_BUDGET) -> Iterator[ClassRep]:
-    """One assembled representative per conjugacy class.
+    """One representative per conjugacy class, its matrix as text.
 
     Each problem's representatives are those its count reads, over
     `_solving_field`; each is read into the eigenvalue's F_{q^d} (entries
     0 and 1 of F_2 mean the same there) once per field, before its lift.
+    No class builds an array or a `Mat`: its matrix text is a join of
+    ready strings.  Each form's rows are formatted once per call, padded
+    with zeros into [A | 0] or [0 | B]; each (eigenvalue, orbit
+    representative) formats the rows of its lift once; and once per Levi
+    pair and representative, the rows of A in a shared eigenvalue's factor
+    are joined with them, the lift placed at the factor offsets.  Every row
+    of B, and every row of A outside a shared factor, is the same for all
+    classes of a Levi pair; a pair with no shared eigenvalue is one class.
     Before the first is yielded, the array arithmetic of
     `gf.extension(field, min(m, n))` is checked before a modulus is
     searched for, and the budget and 2^63 against the space of
@@ -164,32 +193,52 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     bound = CocentShape((1,) * m, (1,) * n, field)
     check_space(bound, budget)
     check_space(bound)
-    forms: dict = {}  # form -> (Jordan array, factor offsets)
-    lifts: dict = {}  # (eigenvalue, mu, nu) -> [(block, corner block array)]
+    zero = field.element_str(field.zero)
+    top_pad, bottom_pad = (" " + zero) * n, (zero + " ") * m
+    forms: dict = {}    # form -> (factor offsets, text of each row of its matrix)
+    tops: dict = {}     # A -> (rows of [A | 0], each ended by ';', their text)
+    bottoms: dict = {}  # B -> text of [0 | B]
+    lifts: dict = {}    # (eigenvalue, mu, nu) -> (blocks, lift width, rows of each lift)
     for ga, gb in levi_reps(m, n, field):
         for g in (ga, gb):
             if g not in forms:
-                forms[g] = assemble(g, field).a, factor_offsets(g, field)
-        (a, ra), (b, cb) = forms[ga], forms[gb]
-        levi = np.zeros((m + n, m + n), dtype=np.int32)
-        levi[:m, :m] = a
-        levi[m:, m:] = b
-        per_block = []
-        for pr in reduce_levi_pair(ga, gb, field):
-            p, r0, c0 = pr.p, ra[pr.p], m + cb[pr.p]
+                forms[g] = factor_offsets(g, field), row_texts(assemble(g, field).a, field)
+        if ga not in tops:
+            padded = [r + top_pad + ";" for r in forms[ga][1]]
+            tops[ga] = padded, "".join(padded)
+        if gb not in bottoms:
+            bottoms[gb] = ";".join(bottom_pad + r for r in forms[gb][1])
+        top_rows, top = tops[ga]
+        problems = reduce_levi_pair(ga, gb, field)
+        if not problems:  # no shared eigenvalue: one class, V = 0
+            yield ClassRep(ga, gb, (), field, top + bottoms[gb])
+            continue
+        (ra, a_rows), (cb, _) = forms[ga], forms[gb]
+        # problems come in the order of A's factors, both sorted by degree
+        # and then polynomial, so r, the first top row not yet joined, only grows
+        blocks, texts, r = [], [], 0
+        for pr in problems:
+            p = pr.p
             key = p, pr.mu, pr.nu
             if key not in lifts:
                 K = _solving_field(pr.mu, pr.nu, field, gf.pdeg(p))
-                reps = (_read_into(rep, pr.field)
-                        for rep in enumerate_orbits(pr.mu, pr.nu, K, budget).reps)
-                lifts[key] = [((p, v), lift(v, p, field).a) for v in reps]
-            per_block.append([(blk, np.s_[r0:r0 + lf.shape[0], c0:c0 + lf.shape[1]], lf)
-                              for blk, lf in lifts[key]])
-        for combo in itertools.product(*per_block):
-            g = levi.copy()
-            for _, cell, lf in combo:
-                g[cell] = lf
-            yield ClassRep(ga, gb, tuple(blk for blk, _, _ in combo), Mat(field, g))
+                reps = [_read_into(v, pr.field)
+                        for v in enumerate_orbits(pr.mu, pr.nu, K, budget).reps]
+                lfs = [lift(v, p, field).a for v in reps]
+                lifts[key] = ([(p, v) for v in reps], lfs[0].shape[1],
+                              [row_texts(lf, field) for lf in lfs])
+            blks, w, lift_rows = lifts[key]
+            left, right = (zero + " ") * cb[p], (" " + zero) * (n - cb[p] - w)
+            texts.append(["".join(top_rows[r:ra[p]])])
+            texts.append(["".join([f"{a} {left}{v}{right};"
+                                   for a, v in zip(a_rows[ra[p]:], rows)])
+                          for rows in lift_rows])
+            blocks.append(blks)
+            r = ra[p] + len(lift_rows[0])
+        texts.append(["".join(top_rows[r:]) + bottoms[gb]])
+        # a singleton factor does not change the order of a product
+        for blk, text in zip(itertools.product(*blocks), itertools.product(*texts)):
+            yield ClassRep(ga, gb, blk, field, "".join(text))
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +269,7 @@ def class_rep_line(rep: ClassRep, field: FiniteField) -> str:
     blocks = ",".join([_block_text(p, v, field) for p, v in rep.blocks])
     return (f'{{"levi_a":{_form_text(rep.levi_a, field)},'
             f'"levi_b":{_form_text(rep.levi_b, field)},"blocks":[{blocks}],'
-            f'"matrix":{_JSON.encode(mat_str(rep.matrix))}}}')
+            f'"matrix":{_JSON.encode(rep.matrix_text)}}}')
 
 
 def class_rep_to_json(rep: ClassRep, field: FiniteField) -> dict:

@@ -159,10 +159,16 @@ class Mat:
         return self.rows == self.cols and self.rank() == self.rows
 
 
+def row_texts(a: np.ndarray, field: FiniteField) -> list:
+    """The text of each row of an array of element indices, entries
+    separated by spaces."""
+    s = field.element_str
+    return [" ".join(map(s, row)) for row in a.tolist()]
+
+
 def mat_str(m: Mat) -> str:
     """Rows separated by ';', entries by spaces."""
-    s = m.field.element_str
-    return ";".join(" ".join(map(s, row)) for row in m.a.tolist())
+    return ";".join(row_texts(m.a, m.field))
 
 
 def mat_parse(s: str, field: FiniteField) -> Mat:

@@ -551,9 +551,10 @@ def cocent_from_json(data, field):
 
 
 def class_rep_from_json(data, field):
+    """The representative a `--reps` line describes, its matrix text kept
+    as printed (`ClassRep.matrix` rebuilds the matrix from the blocks)."""
     from paraclasses.conjugacy import ClassRep
     from paraclasses.gf import extend, poly_parse
-    from paraclasses.matrices import mat_parse
     if isinstance(data, str):
         data = json.loads(data)
     ga = gjnf_from_json(data["levi_a"], field)
@@ -563,4 +564,4 @@ def class_rep_from_json(data, field):
         p = poly_parse(b["poly"], field)
         K = extend(field, p)
         blocks.append((p, cocent_from_json(b["rep"], K)))
-    return ClassRep(ga, gb, tuple(blocks), mat_parse(data["matrix"], field))
+    return ClassRep(ga, gb, tuple(blocks), field, data["matrix"])

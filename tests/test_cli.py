@@ -177,6 +177,7 @@ def test_agl_and_oracle_commands(capsys):
 def test_reps_roundtrip_through_schema(capsys):
     from helpers import class_rep_from_json
     from paraclasses.gf import ff
+    from paraclasses.matrices import mat_parse
     code, out = _capture(capsys, ["classes", "parabolic", "--m", "1", "--n", "2",
                                   "--q", "2", "--reps"])
     assert code == 0
@@ -184,7 +185,8 @@ def test_reps_roundtrip_through_schema(capsys):
     assert len(lines) == 5
     for line in lines:
         rep = class_rep_from_json(line, ff(2))
-        assert rep.matrix.is_invertible()
+        printed = mat_parse(rep.matrix_text, ff(2))
+        assert printed == rep.matrix and printed.is_invertible()
 
 
 def test_reps_print_the_reference_lines(capsys):
@@ -198,6 +200,29 @@ def test_reps_print_the_reference_lines(capsys):
                               separators=(",", ":")) + "\n"
                    for rep in parabolic_class_reps(2, 2, field))
     assert code == 0 and out == want
+
+
+def test_reps_build_no_matrix_per_class(capsys, monkeypatch):
+    # each line is joined from text made once per form and per lifted orbit
+    # representative: no class reads its matrix, and no 4 x 4 Mat is built
+    # (forms and lifts of (2, 2) are at most 2 x 2)
+    from paraclasses.conjugacy import ClassRep
+    from paraclasses.matrices import Mat
+    sizes, init = [], Mat.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        sizes.append(self.a.shape)
+
+    def unread(rep):
+        raise AssertionError("ClassRep.matrix read on the CLI path")
+
+    monkeypatch.setattr(ClassRep, "matrix", property(unread))
+    monkeypatch.setattr(Mat, "__init__", counted)
+    code, out = _capture(capsys, ["classes", "parabolic", "--m", "2", "--n", "2",
+                                  "--q", "5", "--reps"])
+    assert code == 0 and len(out.splitlines()) == 700
+    assert sizes and max(sizes) == (2, 2)
 
 
 def test_deterministic_output(capsys):

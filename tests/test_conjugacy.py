@@ -7,7 +7,7 @@ from paraclasses.cocentralizer import lift
 from paraclasses.errors import BudgetExceeded
 from paraclasses.gf import extension, ff, ff_order, pdeg
 from paraclasses.jordan import assemble, factor_offsets
-from paraclasses.matrices import Mat, mat_str
+from paraclasses.matrices import Mat, mat_parse, mat_str
 from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
                                    class_rep_line, class_rep_to_json, count_poly,
                                    gl_class_count, levi_reps,
@@ -371,7 +371,10 @@ def test_agl_reps_biject_with_oracle(n, field):
 
 @pytest.mark.parametrize("m,n,field,limit", [
     (1, 2, F2, None), (2, 2, F3, None), (2, 2, F4, None), (2, 2, ff(3, 2), None),
-    (1, 1, ff(1031), 40)])
+    (1, 1, ff(1031), 40),
+    # two shared eigenvalues of different degrees, corner blocks below the
+    # first row, and the names of a prime-power field
+    (3, 3, F2, None), (2, 3, F3, None), (2, 2, ff(2, 4), 200)])
 def test_class_rep_line_matches_the_reference_writer(m, n, field, limit):
     reps = itertools.islice(parabolic_class_reps(m, n, field), limit)
     for rep in reps:
@@ -386,6 +389,7 @@ def test_class_rep_json_roundtrip():
         back = class_rep_from_json(blob, F2)
         assert back.levi_a == rep.levi_a and back.levi_b == rep.levi_b
         assert back.blocks == rep.blocks and back.matrix == rep.matrix
+        assert mat_parse(back.matrix_text, F2) == rep.matrix
 
 
 @pytest.mark.parametrize("call,message", [
