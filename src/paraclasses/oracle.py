@@ -10,6 +10,7 @@ never touches the Jordan/centralizer machinery it is used to check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -30,6 +31,11 @@ def _gl_elements(field: FiniteField, n: int) -> list:
     if n == 0:
         return [Mat.zeros(field, 0, 0)]
     return [m for m in _all_matrices(field, n, n) if m.is_invertible()]
+
+
+def _gl_order(q: int, n: int) -> int:
+    """|GL_n(F_q)|: the product of q^n - q^i over i < n."""
+    return math.prod(q ** n - q ** i for i in range(n))
 
 
 def _gl_generators(field: FiniteField, n: int) -> list:
@@ -130,15 +136,16 @@ def oracle_classes(m: int, n: int, field: FiniteField,
     """
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
+    order = field.order
+    na = 1 if fix_a_identity else _gl_order(order, m)
+    nv, nb = order ** (m * n), _gl_order(order, n)
+    total = na * nv * nb
+    if total > budget:  # before any element is listed
+        group = f"AGL_{n}" if fix_a_identity else f"P({m},{n})"
+        raise BudgetExceeded(total, budget, f"oracle {group} over F_{order}")
     gl_m = [Mat.identity(field, m)] if fix_a_identity else _gl_elements(field, m)
     gl_n = _gl_elements(field, n)
-    na, nb = len(gl_m), len(gl_n)
     vs = _VSpace(field, m, n)
-    nv = vs.size
-    total = na * nv * nb
-    if total > budget:
-        group = f"AGL_{n}" if fix_a_identity else f"P({m},{n})"
-        raise BudgetExceeded(total, budget, f"oracle {group} over F_{field.order}")
     a_idx = {g.a.tobytes(): i for i, g in enumerate(gl_m)}
     b_idx = {g.a.tobytes(): i for i, g in enumerate(gl_n)}
 

@@ -1,6 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,8 @@ import pytest
 
 import paraclasses
 from paraclasses.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _child_env():
@@ -342,14 +347,29 @@ def test_agl_reps_past_the_table_limit_print_every_class(capsys, q):
 
 
 def test_gjnf_over_a_quadratic_extension_of_a_large_prime_field():
-    # the modulus of F_{q^2} is found without building the q elements of
-    # F_q, and the op tables of F_{q^2} are refused
+    # the op tables of F_{q^2} are refused from its order, before a degree-2
+    # modulus is searched for and without building the q elements of F_q
     q = 1000000007
     proc = _run_capped("gjnf", "--q", str(q), "--ext", "2", "--matrix", "1")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (f"budget exceeded: dense op tables of F_{q * q} needs "
                            f"field order {q * q}, budget 1024\n")
+
+
+def test_gjnf_over_a_large_extension_exits_before_a_modulus_search(capsys, monkeypatch):
+    # F_{2^400} has no op tables, which its order tells before any of the
+    # 2^399 monic candidates of degree 400 is tested for a modulus
+    import paraclasses.gf as gf
+
+    def searching(f, field):
+        raise AssertionError("a modulus was searched for")
+
+    monkeypatch.setattr(gf, "is_irreducible", searching)
+    assert run(["gjnf", "--q", "2", "--ext", "400", "--matrix", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"budget exceeded: dense op tables of F_{2 ** 400} "
+                                 f"needs field order {2 ** 400}, budget 1024\n")
 
 
 def test_matrix_and_orbit_work_over_a_prime_past_the_table_limit(capsys):
@@ -447,6 +467,22 @@ def test_oracle_rejects_empty_blocks(capsys, argv, message):
     assert out == "" and err == f"error: {message}\n"
 
 
+def test_oracle_budget_exit_lists_no_element(capsys, monkeypatch):
+    # |GL_4(3)| * 3^4 * |GL_1(3)| states are refused from the group orders,
+    # before the 3^16 matrices of size 4 are listed
+    import paraclasses.oracle as oracle
+
+    def listing(*args):
+        raise AssertionError("the oracle listed elements")
+
+    monkeypatch.setattr(oracle, "_gl_elements", listing)
+    monkeypatch.setattr(oracle, "_all_matrices", listing)
+    assert run(["oracle", "parabolic", "--m", "4", "--n", "1", "--q", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("budget exceeded: oracle P(4,1) over F_3 needs "
+                                 "3930301440 states, budget 1000000\n")
+
+
 def test_counts_at_a_large_prime(capsys):
     from paraclasses.conjugacy import count_poly
     q = 1000000007
@@ -469,3 +505,68 @@ def test_every_benchmark_query_prints_its_recorded_digest(capsys):
         got[qid] = {"lines": text.count("\n"), "rc": rc,
                     "sha256": hashlib.sha256(text.encode()).hexdigest()}
     assert got == expected
+
+
+# one cheap call of each command path, by its words
+PATH_CALLS = {
+    "gjnf": ["--q", "2", "--matrix", "1"],
+    "centralizer": ["--q", "2", "--lambda", "1"],
+    "matprob orbits": ["--q", "2", "--mu", "1", "--nu", "1"],
+    "matprob classify": ["--mu", "1", "--nu", "1"],
+    "classes parabolic": ["--m", "1", "--n", "1", "--q", "2"],
+    "classes count-poly": ["--m", "1", "--n", "1"],
+    "classes agl": ["--n", "1", "--q", "2"],
+    "oracle parabolic": ["--m", "1", "--n", "1", "--q", "2"],
+    "oracle agl": ["--n", "1", "--q", "2"],
+}
+
+
+def _listed_paths(text):
+    return re.findall(r"^  (\S+(?: \S+)?)  ", text, re.M)
+
+
+@pytest.mark.parametrize("path", PATH_CALLS)
+def test_each_path_builds_only_its_own_parser(capsys, monkeypatch, path):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(path.split() + PATH_CALLS[path]) == 0
+    capsys.readouterr()
+    assert built == [f"paraclasses {path}"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["classes", "--help"]])
+def test_root_help_lists_every_path(capsys, argv):
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert _listed_paths(out) == list(PATH_CALLS) and err == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["classes"], ["classes", "nope"], ["nonsense"],
+                                  ["nonsense", "--help"]])
+def test_a_missing_or_unknown_path_exits_2_listing_the_paths(capsys, argv):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _listed_paths(err) == list(PATH_CALLS)
+
+
+def test_readme_command_lines_run_and_print_what_they_quote(capsys):
+    # every line of the README's "Command line" block, with its bracketed
+    # options dropped, exits 0; a comment without a space quotes the whole
+    # output, a literal \n between its lines
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    quoted = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        prog, *argv = shlex.split(re.sub(r"\[[^]]*\]", "", command))
+        code, out = _capture(capsys, argv)
+        assert prog == "paraclasses" and code == 0, line
+        if comment.strip() and " " not in comment.strip():
+            assert out == comment.strip().replace("\\n", "\n") + "\n", line
+            quoted += 1
+    assert quoted >= 3

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -418,3 +419,16 @@ def test_oracle_budget():
     with pytest.raises(BudgetExceeded) as ei:
         oracle_classes(2, 2, F3, budget=100)
     assert str(ei.value) == "oracle P(2,2) over F_3 needs 186624 states, budget 100"
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_oracle_group_orders_count_the_listed_elements(field):
+    # the budget is checked from |GL_k(q)| before any element is listed; the
+    # oracle stays independent of the Jordan and centralizer code it checks
+    import ast
+    import paraclasses.oracle as oracle
+    for k in range(3):
+        assert oracle._gl_order(field.order, k) == len(oracle._gl_elements(field, k))
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    assert {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.level} == {"errors", "gf", "matrices"}
