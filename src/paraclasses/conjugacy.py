@@ -106,7 +106,7 @@ def _count_by_type(m: int, n: int, eigen_count, weight):
         local, power, binom, nd = {(0, 0): 1}, {(0, 0): 1}, 1, eigen_count(d)
         for k in range(1, M + N + 1):
             power = _series_mul(power, g, M, N)
-            binom = binom * (nd - k + 1) * Fraction(1, k)
+            binom = binom * (nd - k + 1) // k  # C(nd, k), exact at every step
             for key, c in power.items():
                 local[key] = local.get(key, 0) + binom * c
         total = _series_mul(total, {(d * a, d * b): c for (a, b), c in local.items()},
@@ -182,10 +182,11 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     q^(mn/d) states over F_{q^d}, and a finite-type one, every shape with a
     side (1^a) among them, is solved over F_2, with 2^dim <= q^(mn) states.
     The checks thus guard Levi enumeration, not arithmetic: `levi_reps` lists
-    every form of both sides before the first line, and no other limit
-    stops it.  Without them, `--m 2 --n 2 --q 1000000007 --reps` would
-    test some 10^18 monic quadratics for irreducibility, and `--m 1 --n 3
-    --q 1031 --reps` some 10^9 monic cubics, then some 10^12 lines.
+    every form of both sides before the first line.  They also bound the
+    bytes of `gf.irreducibles`' sieve, q^d at a degree d <= max(m, n) <= mn,
+    so within the default budget the sieve's own limit refuses nothing.
+    Without them, `--m 2 --n 2 --q 53 --reps` would print some 8 * 10^6
+    lines.
     """
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
@@ -281,8 +282,10 @@ def class_rep_to_json(rep: ClassRep, field: FiniteField) -> dict:
 
 
 class CountPolynomial(tuple):
-    """Integer coefficients of the class count as a polynomial in the field
-    size, low-to-high."""
+    """Coefficients of a polynomial in the field size, low-to-high: integers
+    for a class count.  The type sum computes with Fraction coefficients
+    through +, -, *, ** and exact division // by an integer; a number
+    stands for a constant polynomial."""
 
     def __call__(self, q: int) -> int:
         acc = 0
@@ -290,28 +293,56 @@ class CountPolynomial(tuple):
             acc = acc * q + c
         return acc
 
+    def __add__(self, other):
+        other = other if isinstance(other, CountPolynomial) else (other,)
+        return CountPolynomial(a + b for a, b in
+                               itertools.zip_longest(self, other, fillvalue=0))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        other = other if isinstance(other, CountPolynomial) else (other,)
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other):
+                out[i + j] += a * b
+        return CountPolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = CountPolynomial((1,))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __floordiv__(self, k: int):
+        return CountPolynomial(Fraction(c, k) for c in self)
+
 
 def count_poly(m: int, n: int, budget: int = DEFAULT_BUDGET) -> CountPolynomial:
     """The class count of the (m, n) block group as a polynomial in the
     field size q: the type sum with the number of degree-d irreducibles
     other than t taken from `gf.irreducible_count` at the polynomial q,
-    whose Fraction coefficients keep the necklace formula's division by d
-    exact.
+    whose Fraction coefficients keep the necklace formula's division by d,
+    and the binomial's by k, exact.
 
     With m < 6 or n < 6 every shape is of finite type: `type_classify`
     puts every side of size < 6 in a proved family.  So every orbit
     count is a constant and the sum is exact.
     Non-integer coefficients signal an implementation bug and raise.
     """
-    from numpy.polynomial import Polynomial
     if not (m < 6 or n < 6):
         raise ValueError("count polynomial only available for m < 6 or n < 6")
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
 
-    poly = _count_by_type(m, n, _eigen_count(Polynomial([Fraction(0), Fraction(1)])),
+    poly = _count_by_type(m, n, _eigen_count(CountPolynomial((0, 1))),
                           lambda mu, nu, d: orbit_count_cached(mu, nu, ff(2), d, budget))
-    coeffs = list(poly.coef)
+    coeffs = list(poly)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if any(Fraction(c).denominator != 1 for c in coeffs):

@@ -17,12 +17,15 @@ d x d matrix of multiplication by an element over the base field from
 primitive element, from `additive_basis`.
 
 Polynomials are normalized tuples of element indices, low-to-high, with the
-zero polynomial represented by the empty tuple.  Irreducibility is Ben-Or's
-test.  Factorization runs distinct-degree then equal-degree
-(Cantor-Zassenhaus) splitting on f itself, repeated factors included, and
-counts each factor's multiplicity by repeated division.  One trial-division
-integer factoriser serves primality, the Möbius function, field orders and
-primitive elements.
+zero polynomial represented by the empty tuple.  One polynomial's
+irreducibility is Ben-Or's test; the irreducibles of a degree are listed by a
+sieve that strikes every product of lower-degree ones and tests none.
+Factorization runs distinct-degree then equal-degree (Cantor-Zassenhaus)
+splitting on f itself, repeated factors included, and counts each factor's
+multiplicity by repeated division.  Primality is Miller-Rabin, proved
+deterministic below 3.3 * 10^24, and a field order q = p^e is split by exact
+integer e-th roots; one trial-division integer factoriser serves the Möbius
+function and primitive elements.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ Poly = tuple  # tuple of element indices, low-to-high, no trailing zeros
 
 _TABLE_LIMIT = 1024  # largest field order for which dense op tables are built
 _INDEX_LIMIT = 2 ** 31 - 1  # largest prime whose indices fit int32 arrays
+_SIEVE_LIMIT = 2 ** 22  # most bytes `irreducibles` sieves: one per monic candidate
 
 
 def check_table_order(order: int) -> None:
@@ -62,8 +66,29 @@ def _prime_factors(n: int) -> dict:
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # the first 13 primes
+# below this bound no composite is a strong probable prime to every base in
+# _MR_BASES (Sorenson and Webster, Math. Comp. 86 (2017), arXiv 2015)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return _prime_factors(n) == {n: 1}
+    """Miller-Rabin to the bases _MR_BASES, deterministic below _MR_LIMIT.
+    Raises ValueError, naming the bound, for a number at or above it that
+    passes every base."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:  # a is a witness when a^d != 1 and no a^(d 2^i) = -1
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot prove {n} prime: Miller-Rabin to the first 13 "
+                         f"prime bases is proved only below {_MR_LIMIT}")
+    return True
 
 
 class FiniteField:
@@ -400,14 +425,24 @@ def extension(field: FiniteField, d: int) -> FiniteField:
                               if is_irreducible(f, field)))
 
 
+def _iroot(n: int, e: int) -> int:
+    """The largest r with r^e <= n, for n >= 1: Newton's method from
+    2^ceil(bits/e), above the root, descending to it."""
+    r = 1 << -(-n.bit_length() // e)
+    while (s := ((e - 1) * r + n // r ** (e - 1)) // e) < r:
+        r = s
+    return r
+
+
 def ff_order(q: int) -> FiniteField:
-    """The field of order q = p^e, auto-factored."""
+    """The field of order q = p^e: the one e with an exact e-th root p of
+    q that is prime, tried for e = 1, 2, ... while 2^e <= q."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    (p, e), *rest = _prime_factors(q).items()
-    if rest:
-        raise ValueError(f"{q} is not a prime power")
-    return ff(p, e)
+    for e in range(1, q.bit_length()):
+        if (p := _iroot(q, e)) ** e == q and is_prime(p):
+            return ff(p, e)
+    raise ValueError(f"{q} is not a prime power")
 
 
 def extend(field: FiniteField, modulus: Poly) -> FiniteField:
@@ -560,10 +595,35 @@ def is_irreducible(f: Poly, field: FiniteField) -> bool:
 
 @lru_cache(maxsize=None)
 def irreducibles(d: int, field: FiniteField) -> tuple:
-    """All monic irreducibles of degree d, in lexicographic order."""
+    """All monic irreducibles of degree d, in lexicographic order, by a
+    sieve: for d >= 2, the candidates of `_monic_polys` left unmarked in a
+    bytearray, indexed by the digits c_0 ... c_(d-1), once every product
+    f * g is marked, f a monic irreducible other than t of degree
+    e <= d/2 and g monic of degree d - e.  A reducible monic polynomial
+    with c_0 != 0 has a monic irreducible factor of degree at most d/2,
+    and that factor is not t, so exactly the reducible candidates are
+    marked.  Refuses, as exceeding the budget, a sieve of more than
+    _SIEVE_LIMIT bytes, one per monic polynomial of degree d."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return tuple(f for f in _monic_polys(field, d) if is_irreducible(f, field))
+    q = field.order
+    if q ** d > _SIEVE_LIMIT:
+        raise BudgetExceeded(q ** d, _SIEVE_LIMIT, f"the sieve of degree-{d} "
+                             f"irreducibles over F_{q}", "{} bytes")
+    if d == 1:
+        return tuple(_monic_polys(field, 1))
+    marked = bytearray(q ** d)
+    for e in range(1, d // 2 + 1):
+        for f in irreducibles(e, field):
+            if f[0] == field.zero:
+                continue  # t: its multiples have c_0 = 0, no candidate
+            for g in _monic_polys(field, d - e):
+                k = 0
+                for c in pmul(f, g, field)[:d]:
+                    k = k * q + c
+                marked[k] = 1
+    return tuple(f for k, f in enumerate(_monic_polys(field, d), q ** (d - 1))
+                 if not marked[k])
 
 
 def mobius(n: int) -> int:
@@ -575,7 +635,7 @@ def mobius(n: int) -> int:
 def irreducible_count(d: int, q: int) -> int:
     """Number of monic irreducibles of degree d over F_q, by the necklace
     formula (1/d) sum over e | d of mobius(d/e) q^e; t is counted.  q may
-    also be a polynomial with Fraction coefficients, divided exactly."""
+    also be a `conjugacy.CountPolynomial`, divided exactly."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     return sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0) // d

@@ -158,8 +158,10 @@ def enumerate_gjnf(n: int, field: FiniteField) -> Iterator[GJNF]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    irrs = [f for d in range(1, n + 1) for f in gf.irreducibles(d, field)
-            if f[0] != field.zero]
+    # the top degree is sieved first, so a field too large for its sieve is
+    # refused before any lower degree is sieved
+    by_degree = [gf.irreducibles(d, field) for d in range(n, 0, -1)]
+    irrs = [f for fs in reversed(by_degree) for f in fs if f[0] != field.zero]
 
     def rec(rem: int, start: int):
         if rem == 0:

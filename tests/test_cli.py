@@ -485,12 +485,32 @@ def test_oracle_budget_exit_lists_no_element(capsys, monkeypatch):
 
 def test_counts_at_a_large_prime(capsys):
     from paraclasses.conjugacy import count_poly
+    for q in (1000000007, 1000000000000000003):
+        code, out = _capture(capsys, ["classes", "agl", "--n", "1", "--q", str(q)])
+        assert code == 0 and json.loads(out)["count"] == q
+    # a prime past the bound of the deterministic Miller-Rabin test is refused
+    assert run(["classes", "agl", "--n", "1", "--q", str(2 ** 89 - 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("proved only below 3317044064679887385961981\n")
     q = 1000000007
-    code, out = _capture(capsys, ["classes", "agl", "--n", "1", "--q", str(q)])
-    assert code == 0 and json.loads(out)["count"] == q
     code, out = _capture(capsys, ["classes", "parabolic", "--m", "2", "--n", "2",
                                   "--q", str(q)])
     assert code == 0 and json.loads(out)["count"] == count_poly(2, 2)(q)
+
+
+def test_agl_reps_over_a_large_field_exit_before_a_sieve(capsys, monkeypatch):
+    # F_1031 has 1031^3 monic cubics, past the sieve's bytes; the cubics
+    # are refused before the 1031^2 quadratics are sieved
+    import paraclasses.gf as gf
+
+    def sieving(f, g, field):
+        raise AssertionError("a product was sieved")
+
+    monkeypatch.setattr(gf, "pmul", sieving)
+    assert run(["classes", "agl", "--n", "3", "--q", "1031", "--reps"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"budget exceeded: the sieve of degree-3 irreducibles over "
+                                 f"F_1031 needs {1031 ** 3} bytes, budget {2 ** 22}\n")
 
 
 def test_every_benchmark_query_prints_its_recorded_digest(capsys):

@@ -9,7 +9,7 @@ from paraclasses.errors import BudgetExceeded
 from paraclasses.gf import extension, ff, ff_order, pdeg
 from paraclasses.jordan import assemble, factor_offsets
 from paraclasses.matrices import Mat, mat_parse, mat_str
-from paraclasses.conjugacy import (agl_class_count, agl_class_reps,
+from paraclasses.conjugacy import (CountPolynomial, agl_class_count, agl_class_reps,
                                    class_rep_line, class_rep_to_json, count_poly,
                                    gl_class_count, levi_reps,
                                    orbit_count_cached, parabolic_class_count,
@@ -285,6 +285,24 @@ def test_count_poly_smallest_case():
     assert tuple(cp) == (0, -1, 1)           # q^2 - q
     assert cp(2) == 2 and cp(3) == 6
     assert len(cp) - 1 == 2 and cp[-1] == 1  # degree 2, leading coefficient 1
+
+
+def test_count_polynomial_arithmetic_matches_evaluation():
+    # +, -, *, ** and exact // by an integer, against the same expression
+    # evaluated at integers
+    from fractions import Fraction
+    q = CountPolynomial((0, 1))
+    f = 1 + q * 5 - (2 * q ** 3 - q + 1) * (q - 3) // 6
+    assert all(f(x) == 1 + 5 * x - Fraction((2 * x ** 3 - x + 1) * (x - 3), 6)
+               for x in range(-4, 8))
+
+
+def test_count_poly_refuses_non_integer_coefficients(monkeypatch):
+    # a wrong eigenvalue count, q/2 of degree 1, leaves halves in the sum
+    from paraclasses import gf
+    monkeypatch.setattr(gf, "irreducible_count", lambda d, q: q // 2)
+    with pytest.raises(ArithmeticError, match="non-integer coefficients"):
+        count_poly(1, 1)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])

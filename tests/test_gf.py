@@ -60,6 +60,13 @@ def test_field_construction_errors():
         ff(2, 0)
     with pytest.raises(ValueError, match="^12 is not a prime power$"):
         ff_order(12)
+    # 2^89 - 1 is prime, past the bound below which Miller-Rabin is proved;
+    # its square has the exact root, refused in the same way
+    for q in (2 ** 89 - 1, (2 ** 89 - 1) ** 2):
+        with pytest.raises(ValueError, match="^cannot prove 618970019642690137449562111 "
+                           "prime: .* only below 3317044064679887385961981$"):
+            ff_order(q)
+    assert ff_order((2 ** 61 - 1) ** 2).order == (2 ** 61 - 1) ** 2
     for q in (0, 1):
         with pytest.raises(ValueError, match=f"^field order must be >= 2, got {q}$"):
             ff_order(q)
@@ -70,7 +77,13 @@ def test_field_construction_errors():
     (lambda: extend(ff(3), (1, 0, 2)), ValueError, "modulus must be monic"),
     (lambda: extend(ff(2), (0, 0, 1)), ValueError, "modulus must be irreducible"),
     (lambda: pdivmod((1, 1), (), ff(2)), ZeroDivisionError, "polynomial division by zero"),
-    (lambda: irreducible_count(0, 2), ValueError, "degree must be >= 1")])
+    (lambda: irreducible_count(0, 2), ValueError, "degree must be >= 1"),
+    # a sieve past 2^22 bytes, refused from the count of candidates
+    (lambda: irreducibles(3, ff(1031)), BudgetExceeded,
+     f"the sieve of degree-3 irreducibles over F_1031 needs {1031 ** 3} bytes, budget {2 ** 22}"),
+    (lambda: irreducibles(1, ff(2 ** 31 - 1)), BudgetExceeded,
+     f"the sieve of degree-1 irreducibles over F_{2 ** 31 - 1} needs {2 ** 31 - 1} bytes, "
+     f"budget {2 ** 22}")])
 def test_malformed_polynomial_input_is_refused(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
@@ -335,23 +348,40 @@ def test_irreducibles_examples():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_irreducible_count_matches_enumeration(q):
-    for d in range(1, 5):
+    # the sieve against the counting formula (Lidl and Niederreiter, Finite
+    # Fields, ch. 3) in every degree with q^d <= 2^16
+    for d in (d for d in range(1, 17) if q ** d <= 2 ** 16):
         assert irreducible_count(d, q) == len(irreducibles(d, ff_order(q)))
     assert irreducible_count(1, q) - 1 == \
         len([f for f in irreducibles(1, ff_order(q)) if f[0] != 0])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_irreducibles_and_moduli_match_a_full_lexicographic_scan(q):
     # the scan starts at c_0 = 0 in every degree; the package's stream skips
     # c_0 = 0 for d >= 2
     F = ff_order(q)
-    for d in (d for d in range(1, 4) if q ** d <= 1000):
+    for d in (d for d in range(1, 13) if q ** d <= 2 ** 12):
         monic = (lows + (F.one,) for lows in itertools.product(F.elements(), repeat=d))
         scan = tuple(f for f in monic if reference_is_irreducible(f, F))
         assert irreducibles(d, F) == scan
         if d > 1:
             assert extension(F, d).modulus == scan[0]
+
+
+def test_irreducibles_sieve_without_a_single_irreducibility_test(monkeypatch):
+    # the fields are built first, since a modulus search tests candidates;
+    # the sieve runs uncached
+    fields = [(ff_order(q), top) for q, top in ((2, 8), (3, 5), (4, 4), (7, 3), (9, 3))]
+
+    def testing(f, field):
+        raise AssertionError("irreducibles tested a candidate")
+
+    monkeypatch.setattr(gf, "is_irreducible", testing)
+    monkeypatch.setattr(gf, "irreducibles", gf.irreducibles.__wrapped__)
+    for F, top in fields:
+        assert [len(gf.irreducibles(d, F)) for d in range(1, top + 1)] == \
+            [irreducible_count(d, F.order) for d in range(1, top + 1)]
 
 
 def test_count_over_a_field_of_order_two_to_the_twenty():
@@ -532,6 +562,10 @@ def test_is_prime_and_mobius_match_brute_force():
     N = 2000
     primes = [n for n in range(N) if n >= 2 and all(n % k for k in range(2, n))]
     assert [n for n in range(N) if is_prime(n)] == primes
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first 9 primes,
+    # and the Mersenne prime 2^61 - 1
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
     # mu(1) = 1 and the mu(e) over the divisors e of any n > 1 sum to 0
     mu = [0, 1] + [0] * (N - 2)
     for n in range(2, N):
