@@ -137,7 +137,7 @@ def _classes_parabolic(ap, argv) -> None:
     if args.reps:
         # streamed: the budget is checked before the first line
         for rep in parabolic_class_reps(args.m, args.n, field, budget=args.budget):
-            print(class_rep_line(rep, field))
+            print(class_rep_line(rep))
         return
     count = parabolic_class_count(args.m, args.n, field, budget=args.budget)
     if args.csv:

@@ -142,13 +142,12 @@ class EigenBlockProblem:
 
 
 def reduce_levi_pair(ga, gb, base: FiniteField) -> list:
-    """One problem per irreducible occurring in both forms, over the F_{q^d}
-    shared by its degree; eigenvalues on one side only contribute nothing
-    (their block vanishes)."""
-    da = dict(ga)
+    """One problem per irreducible occurring in both forms, in the order of
+    ga's factors, over the F_{q^d} shared by its degree; eigenvalues on one
+    side only contribute nothing (their block vanishes)."""
     db = dict(gb)
-    return [EigenBlockProblem(p, da[p], db[p], gf.extension(base, gf.pdeg(p)))
-            for p in sorted(set(da) & set(db), key=lambda f: (gf.pdeg(f), f))]
+    return [EigenBlockProblem(p, mu, db[p], gf.extension(base, gf.pdeg(p)))
+            for p, mu in ga if p in db]
 
 
 def lift(v: CocentElement, p: Poly, base: FiniteField) -> Mat:

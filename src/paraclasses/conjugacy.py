@@ -4,10 +4,9 @@ A class of the block group is located by a pair of Jordan forms (the Levi
 representative) together with one orbit representative of the per-eigenvalue
 matrix problem for every shared generalized eigenvalue; the assembled
 witness is [[A, V], [0, B]] with V the sum of the lifted blocks.
-Representatives read each (eigenvalue, shape)'s orbits and lift their
-representatives once per call, and build no array per class: the matrix
-text is joined from each form's rows, formatted once per form and field,
-and each lift's rows, formatted once per call, and the matrix is
+Representatives read each (eigenvalue, shape)'s orbits, lift them and
+format each form's and each lift's rows once per call, and build no array
+per class: the matrix text is a join of those rows, and the matrix is
 assembled only when `ClassRep.matrix` is read.
 Their JSON line, `class_rep_line`, joins text encoded once: each form's
 text is memoized by form and field, each block's by eigenvalue, orbit
@@ -16,14 +15,14 @@ matrix text and the join.  Counting never enumerates Levi pairs: the
 number of orbits at an eigenvalue depends only on its pair of partitions
 and its degree, so classes are counted by type, as the coefficient of
 x^m y^n in a product of one power series per degree raised to the number
-of irreducibles of that degree.  The orbits of a shape come from
-`matrix_problem`, which answers a shape with a side (1^a) from its Bruhat
-cells and sweeps no such shape.
-`_solving_field` picks the field that solves a shape,
-for counts and representatives alike, so both read the same memo
-entries: F_2 for a finite-type shape (field independence is checked in
-the tests), else the eigenvalue's F_{q^d}.  With the number of irreducibles
-a polynomial in q, the same sum is the class count as an exact polynomial.
+of irreducibles of that degree, refused before anything is listed when it
+has too many terms.  The orbits of a shape come from `matrix_problem`,
+which answers a shape with a side (1^a) from its Bruhat cells and sweeps
+no such shape.  `_solving_field` picks the field that solves a shape, for
+counts and representatives alike, so both read the same memo entries:
+F_2 for a finite-type shape (field independence is checked in the tests),
+else the eigenvalue's F_{q^d}.  With the number of irreducibles a
+polynomial in q, the same sum is the class count as an exact polynomial.
 """
 
 from __future__ import annotations
@@ -44,13 +43,16 @@ from .jordan import (GJNF, assemble, canonical_sort, enumerate_gjnf,
 from .matrices import Mat, row_texts
 from .cocentralizer import (CocentElement, CocentShape, cocent_to_json, lift,
                             reduce_levi_pair)
+from .errors import BudgetExceeded
 from .matrix_problem import (DEFAULT_BUDGET, check_space, enumerate_orbits, orbit_count,
                              type_classify)
-from .partitions import partitions
+from .partitions import partition_counts, partitions
 
 # the one compact encoder of every output line (json.dumps with separators
 # builds a new encoder per call)
 _JSON = json.JSONEncoder(separators=(",", ":"))
+
+_TYPE_SUM_LIMIT = 1 << 18  # two-sided terms of a type sum, each a pair of partitions
 
 
 @lru_cache(maxsize=None)
@@ -96,12 +98,19 @@ def _count_by_type(m: int, n: int, eigen_count, weight):
     corner orbit for every p with both non-empty; eigen_count(d) counts
     the p of degree d.  The power is expanded as sum_k C(N, k) (F - 1)^k,
     so eigen_count may return a polynomial in q as well as a number.
+    A one-sided term is p(a) p(b), p(0) = 1, from the partition numbers; the
+    two-sided terms are counted first, refused past _TYPE_SUM_LIMIT unlisted.
     """
+    p = partition_counts(max(m, n))
+    s = list(itertools.accumulate(p))  # s[k] = p(0) + ... + p(k)
+    terms = sum((s[m // d] - 1) * (s[n // d] - 1) for d in range(1, max(m, n) + 1))
+    if terms > _TYPE_SUM_LIMIT:
+        raise BudgetExceeded(terms, _TYPE_SUM_LIMIT, f"type sum of ({m},{n})", "{} terms")
     total = {(0, 0): 1}
     for d in range(1, max(m, n) + 1):
         M, N = m // d, n // d
-        g = {(a, b): sum(weight(mu, nu, d) if mu and nu else 1
-                         for mu in partitions(a) for nu in partitions(b))
+        g = {(a, b): sum(weight(mu, nu, d) for mu in partitions(a) for nu in partitions(b))
+             if a and b else p[a] * p[b]
              for a in range(M + 1) for b in range(N + 1) if a or b}
         local, power, binom, nd = {(0, 0): 1}, {(0, 0): 1}, 1, eigen_count(d)
         for k in range(1, M + N + 1):
@@ -163,22 +172,21 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     """One representative per conjugacy class, its matrix as text.
 
     Each problem's representatives are those its count reads, over
-    `_solving_field`; each is read into the eigenvalue's F_{q^d} (entries
-    0 and 1 of F_2 mean the same there) once per field, before its lift.
-    No class builds an array or a `Mat`: its matrix text is a join of
-    ready strings.  Each form's rows are formatted once per call, padded
-    with zeros into [A | 0] or [0 | B]; each (eigenvalue, orbit
-    representative) formats the rows of its lift once; and once per Levi
-    pair and representative, the rows of A in a shared eigenvalue's factor
-    are joined with them, the lift placed at the factor offsets.  Every row
-    of B, and every row of A outside a shared factor, is the same for all
-    classes of a Levi pair; a pair with no shared eigenvalue is one class.
+    `_solving_field`, each read into the eigenvalue's F_{q^d} (entries 0
+    and 1 of F_2 mean the same there), lifted and its rows formatted once
+    per call.  No class builds an array or a `Mat`: its matrix text is a
+    join of ready strings.  Each form is assembled and its rows formatted
+    once per call, padded with zeros into [A | 0] and [0 | B]; once per
+    Levi pair and lift, the rows of A in a shared eigenvalue's factor are
+    joined with the lift's rows at the factor offsets.  Every other row is
+    the same for all classes of a Levi pair; a pair with no shared
+    eigenvalue is one class.
     Before the first is yielded, the array arithmetic of
     `gf.extension(field, min(m, n))` is checked before a modulus is
-    searched for, and the budget and 2^63 against the space of
-    (1^m)x(1^n) over the field itself, by arithmetic alone.  That space
-    bounds every shape solved, so `check_sweep` never refuses one here: a
-    shape at a degree-d eigenvalue has dimension at most mn/d^2, so at most
+    searched for, and the space of (1^m)x(1^n) over the field itself
+    against the budget or 2^63, by arithmetic alone.  That space bounds
+    every shape solved, so `check_sweep` never refuses one here: a shape
+    at a degree-d eigenvalue has dimension at most mn/d^2, so at most
     q^(mn/d) states over F_{q^d}, and a finite-type one, every shape with a
     side (1^a) among them, is solved over F_2, with 2^dim <= q^(mn) states.
     The checks thus guard Levi enumeration, not arithmetic: `levi_reps` lists
@@ -191,39 +199,33 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
     field.check_arrays(min(m, n))
-    bound = CocentShape((1,) * m, (1,) * n, field)
-    check_space(bound, budget)
-    check_space(bound)
+    check_space(CocentShape((1,) * m, (1,) * n, field), budget)
     zero = field.element_str(field.zero)
     top_pad, bottom_pad = (" " + zero) * n, (zero + " ") * m
-    forms: dict = {}    # form -> (factor offsets, text of each row of its matrix)
-    tops: dict = {}     # A -> (rows of [A | 0], each ended by ';', their text)
-    bottoms: dict = {}  # B -> text of [0 | B]
-    lifts: dict = {}    # (eigenvalue, mu, nu) -> (blocks, lift width, rows of each lift)
+    forms: dict = {}  # form -> (offsets, rows, rows of [form | 0], their text, [0 | form])
+    lifts: dict = {}  # (eigenvalue, mu, nu) -> (blocks, lift width, rows of each lift)
     for ga, gb in levi_reps(m, n, field):
         for g in (ga, gb):
             if g not in forms:
-                forms[g] = factor_offsets(g, field), row_texts(assemble(g, field).a, field)
-        if ga not in tops:
-            padded = [r + top_pad + ";" for r in forms[ga][1]]
-            tops[ga] = padded, "".join(padded)
-        if gb not in bottoms:
-            bottoms[gb] = ";".join(bottom_pad + r for r in forms[gb][1])
-        top_rows, top = tops[ga]
+                rows = row_texts(assemble(g, field).a, field)
+                padded = [r + top_pad + ";" for r in rows]
+                forms[g] = (factor_offsets(g, field), rows, padded, "".join(padded),
+                            ";".join(bottom_pad + r for r in rows))
+        (ra, a_rows, top_rows, top, _), (cb, *_, bottom) = forms[ga], forms[gb]
         problems = reduce_levi_pair(ga, gb, field)
         if not problems:  # no shared eigenvalue: one class, V = 0
-            yield ClassRep(ga, gb, (), field, top + bottoms[gb])
+            yield ClassRep(ga, gb, (), field, top + bottom)
             continue
-        (ra, a_rows), (cb, _) = forms[ga], forms[gb]
-        # problems come in the order of A's factors, both sorted by degree
-        # and then polynomial, so r, the first top row not yet joined, only grows
+        # problems come in the order of A's factors, so r, the first top row
+        # not yet joined, only grows
         blocks, texts, r = [], [], 0
         for pr in problems:
             p = pr.p
             key = p, pr.mu, pr.nu
             if key not in lifts:
                 K = _solving_field(pr.mu, pr.nu, field, gf.pdeg(p))
-                reps = [_read_into(v, pr.field)
+                sh = CocentShape(pr.mu, pr.nu, pr.field)  # read into F_{q^d}, indices kept
+                reps = [v if K is pr.field else CocentElement.from_flat(sh, v.flat())
                         for v in enumerate_orbits(pr.mu, pr.nu, K, budget).reps]
                 lfs = [lift(v, p, field).a for v in reps]
                 lifts[key] = ([(p, v) for v in reps], lfs[0].shape[1],
@@ -236,18 +238,10 @@ def parabolic_class_reps(m: int, n: int, field: FiniteField,
                           for rows in lift_rows])
             blocks.append(blks)
             r = ra[p] + len(lift_rows[0])
-        texts.append(["".join(top_rows[r:]) + bottoms[gb]])
+        texts.append(["".join(top_rows[r:]) + bottom])
         # a singleton factor does not change the order of a product
         for blk, text in zip(itertools.product(*blocks), itertools.product(*texts)):
             yield ClassRep(ga, gb, blk, field, "".join(text))
-
-
-@lru_cache(maxsize=None)
-def _read_into(rep: CocentElement, field: FiniteField) -> CocentElement:
-    """The representative over the field, its entry indices kept."""
-    if rep.shape.field is field:
-        return rep
-    return CocentElement.from_flat(CocentShape(rep.shape.mu, rep.shape.nu, field), rep.flat())
 
 
 @lru_cache(maxsize=None)
@@ -264,18 +258,20 @@ def _block_text(p: Poly, rep, field: FiniteField) -> str:
     return _JSON.encode({"poly": gf.poly_str(p, field), "rep": cocent_to_json(rep)})
 
 
-def class_rep_line(rep: ClassRep, field: FiniteField) -> str:
-    """The representative as one line of compact JSON: its two Levi forms,
-    a {"poly", "rep"} object per shared eigenvalue, and the matrix text."""
+def class_rep_line(rep: ClassRep) -> str:
+    """The representative as one line of compact JSON over its field: its
+    two Levi forms, a {"poly", "rep"} object per shared eigenvalue, and the
+    matrix text."""
+    field = rep.field
     blocks = ",".join([_block_text(p, v, field) for p, v in rep.blocks])
     return (f'{{"levi_a":{_form_text(rep.levi_a, field)},'
             f'"levi_b":{_form_text(rep.levi_b, field)},"blocks":[{blocks}],'
             f'"matrix":{_JSON.encode(rep.matrix_text)}}}')
 
 
-def class_rep_to_json(rep: ClassRep, field: FiniteField) -> dict:
+def class_rep_to_json(rep: ClassRep) -> dict:
     """The representative as a fresh dict, parsed from `class_rep_line`."""
-    return json.loads(class_rep_line(rep, field))
+    return json.loads(class_rep_line(rep))
 
 
 # -- class-count polynomials -------------------------------------------------
@@ -388,21 +384,12 @@ def agl_class_reps(n: int, field: FiniteField) -> Iterator[Mat]:
     p1 = eigen_one_poly(field)
     for d in range(n + 1):
         for g in enumerate_gjnf(n - d, field):
-            if d == 0:
-                gp = g
-                e_col = None
-            else:
-                parts = dict(g)
-                lam = tuple(sorted(parts.get(p1, ()) + (d,), reverse=True))
-                parts[p1] = lam
-                gp = canonical_sort(list(parts.items()))
-                off = factor_offsets(gp, field)[p1]
-                off += sum(x for x in lam if x > d)
-                e_col = off + d - 1
-            body = assemble(gp, field)
             out = Mat.zeros(field, n + 1, n + 1)
             out.a[0, 0] = field.one
-            out.a[1:, 1:] = body.a
-            if e_col is not None:
+            if d:  # the block follows the larger parts of t - 1; the 1 on its last column
+                lam = tuple(sorted(dict(g).get(p1, ()) + (d,), reverse=True))
+                g = canonical_sort({**dict(g), p1: lam}.items())
+                e_col = factor_offsets(g, field)[p1] + sum(x for x in lam if x > d) + d - 1
                 out.a[0, 1 + e_col] = field.one
+            out.a[1:, 1:] = assemble(g, field).a
             yield out

@@ -13,11 +13,11 @@ The orbit sets are the only memo of the orbit layer, kept by shape and
 field; the budget is checked before the memo is read, so a smaller budget
 still refuses a space an earlier call solved.  Every limit of the layer is
 checked here, where the shape is known and named; `check_space` words the
-state limit, for a shape and for the space bound `--reps` checks before
-its first line, `check_sweep` refuses a shape, built or swept (the budget,
-array arithmetic, 2^63), and the kernels refuse only a closure that
-outgrows its budget.  Counts and representatives ask for finite-type
-shapes over F_2 only, their orbits not depending on the field.
+state limit, the budget or 2^63, for a shape and for the space bound
+`--reps` checks before its first line, `check_sweep` refuses a shape,
+built or swept (that limit, then array arithmetic), and the kernels refuse
+only a closure that outgrows its budget.  Counts and representatives ask
+for finite-type shapes over F_2 only, their orbits not depending on it.
 `reduce_structured` implements the textual greedy pivot reductions for
 row shapes (r) and (r, 1, ..., 1); the other finite-type families go
 through the generic sweep.  `type_classify` applies the proved finiteness
@@ -42,6 +42,7 @@ from .kernels import PackedActions, orbit_closure, orbit_partition
 from .partitions import check_partition
 
 DEFAULT_BUDGET = 1 << 22
+_STATE_LIMIT = 1 << 63  # no state type holds more states
 
 _orbit_cache: dict = {}
 
@@ -118,26 +119,25 @@ def _describe(shape: CocentShape) -> str:
     return f"({mu})x({nu}) over F_{shape.field.order}"
 
 
-def check_space(shape: CocentShape, budget: int = 2 ** 63) -> int:
-    """The number of states of the shape's space, refused, naming the shape
-    and field, past the budget, by default 2^63, which fits no state type."""
-    space = shape.field.order ** shape.dim
-    if space > budget:
-        raise BudgetExceeded(space, budget, _describe(shape))
+def check_space(shape: CocentShape, budget: int = _STATE_LIMIT) -> int:
+    """The number of states of the shape's space, refused, naming the shape,
+    field and limit, past the budget or 2^63, which fits no state type."""
+    space, limit = shape.field.order ** shape.dim, min(budget, _STATE_LIMIT)
+    if space > limit:
+        raise BudgetExceeded(space, limit, _describe(shape))
     return space
 
 
-def check_sweep(shape: CocentShape, budget: int = 2 ** 63) -> int:
+def check_sweep(shape: CocentShape, budget: int = _STATE_LIMIT) -> int:
     """The number of states of the shape's space, refused, naming the shape
-    and field, as a sweep of it is refused: past the budget, then over a
-    field without array arithmetic, then past 2^63."""
+    and field, as a sweep of it is refused: past the budget or 2^63, then
+    over a field without array arithmetic."""
     space = check_space(shape, budget)
     try:
         shape.field.check_arrays()
     except BudgetExceeded as e:
         raise BudgetExceeded(e.required, e.budget, f"{_describe(shape)}: {e.what}",
                              e.unit) from None
-    check_space(shape)
     return space
 
 

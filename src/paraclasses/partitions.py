@@ -33,3 +33,15 @@ def partitions(n: int) -> tuple:
 
     return tuple(sorted(gen(n, n)))
 
+
+def partition_counts(n: int) -> list:
+    """[p(0), ..., p(n)], nothing listed, by Euler's pentagonal recurrence:
+    p(k) = sum_{j >= 1} (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2))."""
+    p = [1] + [0] * n
+    for k in range(1, n + 1):
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            s = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            p[k] += s if j % 2 else -s
+            j += 1
+    return p

@@ -268,13 +268,16 @@ def test_negative_budget_is_malformed_input(capsys, argv):
 
 
 def test_space_past_two_to_the_63_exit_names_shape_and_field(capsys):
-    # the budget admits 2^64 states, but no state type holds them
-    assert run(["matprob", "orbits", "--q", "2", "--mu", "1,1,1,1,1,1,1,1",
-                "--nu", "1,1,1,1,1,1,1,1", "--budget", "100000000000000000000"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("budget exceeded: (1,1,1,1,1,1,1,1)x(1,1,1,1,1,1,1,1) over F_2 "
-                   "needs 18446744073709551616 states, budget 9223372036854775808\n")
+    # the budget admits 2^64 states, but no state type holds them: a sweep,
+    # and the space bound `--reps` checks before its first line
+    for argv in (["matprob", "orbits", "--q", "2", "--mu", "1,1,1,1,1,1,1,1",
+                  "--nu", "1,1,1,1,1,1,1,1"],
+                 ["classes", "parabolic", "--m", "8", "--n", "8", "--q", "2", "--reps"]):
+        assert run(argv + ["--budget", "100000000000000000000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("budget exceeded: (1,1,1,1,1,1,1,1)x(1,1,1,1,1,1,1,1) over F_2 "
+                       "needs 18446744073709551616 states, budget 9223372036854775808\n")
 
 
 def test_budget_message_names_shape_and_field(capsys):
@@ -420,11 +423,11 @@ def test_reps_stream_line_by_line(capsys, monkeypatch):
     import paraclasses.cli
     real, calls = paraclasses.cli.class_rep_line, []
 
-    def failing_third(rep, field):
+    def failing_third(rep):
         calls.append(rep)
         if len(calls) == 3:
             raise RuntimeError("third representative")
-        return real(rep, field)
+        return real(rep)
 
     monkeypatch.setattr(paraclasses.cli, "class_rep_line", failing_third)
     with pytest.raises(RuntimeError):

@@ -6,7 +6,7 @@ import pytest
 from helpers import (cocent_elements, cocent_from_json, cocent_zero, commutator_space,
                      in_span)
 from paraclasses.gf import extend, extension, ff, irreducibles, pdeg
-from paraclasses.jordan import assemble
+from paraclasses.jordan import assemble, canonical_sort
 from paraclasses.matrices import Mat
 from paraclasses.centralizer import (alg_from_entry, alg_identity, alg_mul, d_twist,
                                      embed, reduced_action_generators)
@@ -72,6 +72,17 @@ def test_reduce_levi_pair_examples():
     probs = reduce_levi_pair((((1, 1, 1), (2,)),), (((1, 1, 1), (2,)),), F2)
     assert len(probs) == 1 and probs[0].field.order == 4
     assert probs[0].mu == probs[0].nu == (2,)
+    # shared eigenvalues of degrees 1 and 2, the degree-2 one first in lex
+    # order, and t + 1 on one side only: the problems come in A's factor
+    # order, which is the canonical (degree, polynomial) order
+    ga = canonical_sort([((1, 1), (1,)), ((2, 1), (2,)), ((1, 0, 1), (1,))])
+    gb = canonical_sort([((2, 1), (1,)), ((1, 0, 1), (1, 1)), ((2, 2, 1), (1,))])
+    probs = reduce_levi_pair(ga, gb, F3)
+    shared = sorted(set(dict(ga)) & set(dict(gb)), key=lambda p: (pdeg(p), p))
+    assert [pr.p for pr in probs] == [p for p, _ in ga if p in dict(gb)] == shared
+    assert shared == [(2, 1), (1, 0, 1)]
+    assert [(pr.mu, pr.nu, pr.field.order) for pr in probs] == [((2,), (1,), 3),
+                                                                ((1,), (1, 1), 9)]
 
 
 def test_lift_trivial_examples():

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import paraclasses.conjugacy
+import paraclasses.jordan
+import paraclasses.partitions
 from paraclasses.cocentralizer import lift
 from paraclasses.errors import BudgetExceeded
 from paraclasses.gf import extension, ff, ff_order, pdeg
@@ -356,11 +359,69 @@ def test_count_poly_evaluations_match_direct_counts():
     assert cp(3) == parabolic_class_count(1, 2, F3)
 
 
+def _gl_class_counts(n, q):
+    """The class counts of GL_0..GL_n over F_q from their generating function
+    prod_{k >= 1} (1 - x^k) / (1 - q x^k) (Macdonald, ch. IV)."""
+    c = [1] + [0] * n
+    for k in range(1, n + 1):
+        c = [c[i] - (c[i - k] if i >= k else 0) for i in range(n + 1)]
+        for i in range(k, n + 1):
+            c[i] += q * c[i - k]
+    return c
+
+
 def test_gl_class_count_examples():
     assert gl_class_count(0, F2) == 1
     assert gl_class_count(1, F3) == 2
     assert gl_class_count(1, F4) == 3
     assert gl_class_count(2, F2) == 3
+    for q in (2, 3, 4, 5, 9):
+        assert [gl_class_count(n, ff_order(q)) for n in range(13)] == _gl_class_counts(12, q)
+
+
+def _spy_partitions(monkeypatch) -> list:
+    """The sizes `partitions.partitions` is asked for, at every binding."""
+    real, calls = paraclasses.partitions.partitions, []
+
+    def spy(k):
+        calls.append(k)
+        return real(k)
+
+    for mod in (paraclasses.partitions, paraclasses.conjugacy, paraclasses.jordan):
+        monkeypatch.setattr(mod, "partitions", spy)
+    return calls
+
+
+def test_gl_and_agl_counts_list_no_partition(monkeypatch):
+    # GL and AGL sums have only one-sided terms, read from partition numbers
+    calls = _spy_partitions(monkeypatch)
+    assert gl_class_count(60, F2) == _gl_class_counts(60, 2)[60]
+    assert agl_class_count(60, F2) == sum(_gl_class_counts(60, 2)) == 2305843004929163879
+    assert calls == []
+    parabolic_class_count(1, 2, F2)
+    assert calls  # the spy sees the two-sided terms list their pairs
+
+
+@pytest.mark.parametrize("count,m,n,terms", [
+    (lambda: parabolic_class_count(1, 200, F3), 1, 200, 47060797174488),
+    (lambda: parabolic_class_count(2, 40, F2), 2, 40, 648634),
+    (lambda: count_poly(2, 40), 2, 40, 648634)])
+def test_type_sum_past_its_limit_is_refused_before_listing(monkeypatch, count, m, n, terms):
+    calls = _spy_partitions(monkeypatch)
+    with pytest.raises(BudgetExceeded) as ei:
+        count()
+    assert str(ei.value) == f"type sum of ({m},{n}) needs {terms} terms, budget 262144"
+    assert calls == []
+
+
+def test_type_sum_limit_counts_the_two_sided_terms(monkeypatch):
+    # (2,2): p(1) + p(2) = 3 partitions a side at degree 1 and one at
+    # degree 2, so 3 * 3 + 1 * 1 = 10 two-sided terms
+    monkeypatch.setattr(paraclasses.conjugacy, "_TYPE_SUM_LIMIT", 10)
+    assert parabolic_class_count(2, 2, F3) == 90
+    monkeypatch.setattr(paraclasses.conjugacy, "_TYPE_SUM_LIMIT", 9)
+    with pytest.raises(BudgetExceeded, match=r"^type sum of \(2,2\) needs 10 terms, budget 9$"):
+        parabolic_class_count(2, 2, F3)
 
 
 def test_agl_count_formula_and_oracle():
@@ -398,13 +459,13 @@ def test_class_rep_line_matches_the_reference_writer(m, n, field, limit):
     reps = itertools.islice(parabolic_class_reps(m, n, field), limit)
     for rep in reps:
         want = json.dumps(reference_class_rep_json(rep, field), separators=(",", ":"))
-        assert class_rep_line(rep, field) == want
+        assert class_rep_line(rep) == want
 
 
 def test_class_rep_json_roundtrip():
     reps = list(parabolic_class_reps(2, 2, F2))
     for rep in reps[::5]:
-        blob = json.dumps(class_rep_to_json(rep, F2))
+        blob = json.dumps(class_rep_to_json(rep))
         back = class_rep_from_json(blob, F2)
         assert back.levi_a == rep.levi_a and back.levi_b == rep.levi_b
         assert back.blocks == rep.blocks and back.matrix == rep.matrix

@@ -1,6 +1,6 @@
 import pytest
 
-from paraclasses.partitions import check_partition, partitions
+from paraclasses.partitions import check_partition, partition_counts, partitions
 
 
 @pytest.mark.parametrize("lam,message", [
@@ -17,3 +17,9 @@ def test_check_partition_names_a_non_positive_part_before_a_rise(lam, message):
 def test_partitions_refuse_a_negative_size():
     with pytest.raises(ValueError, match="^n must be >= 0$"):
         partitions(-1)
+
+
+def test_partition_counts_match_the_listing():
+    assert partition_counts(0) == [1]
+    assert partition_counts(30) == [len(partitions(k)) for k in range(31)]
+    assert partition_counts(200)[200] == 3972999029388  # MacMahon's p(200)
