@@ -46,7 +46,7 @@ from .cocentralizer import (CocentElement, CocentShape, cocent_to_json, lift,
 from .errors import BudgetExceeded
 from .matrix_problem import (DEFAULT_BUDGET, check_space, enumerate_orbits, orbit_count,
                              type_classify)
-from .partitions import partition_counts, partitions
+from .partitions import partition_numbers, partitions
 
 # the one compact encoder of every output line (json.dumps with separators
 # builds a new encoder per call)
@@ -87,40 +87,45 @@ def _series_mul(f: dict, g: dict, m: int, n: int) -> dict:
     return out
 
 
-def _count_by_type(m: int, n: int, eigen_count, weight):
-    """Coefficient of x^m y^n in the product over degrees d of
-    F_d(x^d, y^d) ** eigen_count(d), where F_d sums weight(mu, nu, d)
-    x^|mu| y^|nu| over pairs of partitions, with weight 1 when mu or nu
-    is empty.
+def _count_by_type(m: int, n: int, eigen_count, weight) -> dict:
+    """The series {(i, j): coefficient of x^i y^j}, exact up to x^m y^n, of
+    the product over degrees d of F_d(x^d, y^d) ** eigen_count(d), where F_d
+    sums weight(mu, nu, d) x^|mu| y^|nu| over pairs of partitions, 1 when
+    mu or nu is empty.
 
     A class is a choice of partitions (mu_p, nu_p) for every monic
     irreducible p != t (its Jordan blocks in the two Levi factors) and one
     corner orbit for every p with both non-empty; eigen_count(d) counts
     the p of degree d.  The power is expanded as sum_k C(N, k) (F - 1)^k,
     so eigen_count may return a polynomial in q as well as a number.
-    A one-sided term is p(a) p(b), p(0) = 1, from the partition numbers; the
-    two-sided terms are counted first, refused past _TYPE_SUM_LIMIT unlisted.
+    A one-sided term is p(a) p(b), p(0) = 1, from the partition numbers.  The
+    two-sided terms are counted first, refused past _TYPE_SUM_LIMIT unlisted:
+    the degree-1 ones as each p(k) is read, then all.  k stops at C(N, k) = 0.
     """
-    p = partition_counts(max(m, n))
-    s = list(itertools.accumulate(p))  # s[k] = p(0) + ... + p(k)
-    terms = sum((s[m // d] - 1) * (s[n // d] - 1) for d in range(1, max(m, n) + 1))
-    if terms > _TYPE_SUM_LIMIT:
-        raise BudgetExceeded(terms, _TYPE_SUM_LIMIT, f"type sum of ({m},{n})", "{} terms")
+    p, s, top = [], [], max(m, n)  # s[k] = p(0) + ... + p(k)
+    for k, pk in zip(range(top + 1), partition_numbers()):
+        p.append(pk)
+        s.append(s[-1] + pk if s else pk)
+        terms = ((s[min(k, m, n)] - 1) * (s[k] - 1) if k < top else
+                 sum((s[m // d] - 1) * (s[n // d] - 1) for d in range(1, top + 1)))
+        if terms > _TYPE_SUM_LIMIT:
+            raise BudgetExceeded(terms, _TYPE_SUM_LIMIT, f"type sum of ({m},{n})",
+                                 "at least {} terms")
     total = {(0, 0): 1}
-    for d in range(1, max(m, n) + 1):
-        M, N = m // d, n // d
-        g = {(a, b): sum(weight(mu, nu, d) for mu in partitions(a) for nu in partitions(b))
-             if a and b else p[a] * p[b]
-             for a in range(M + 1) for b in range(N + 1) if a or b}
+    for d in range(1, top + 1):  # F_d(x^d, y^d), keyed by the degrees in x and y
+        g = {(d * a, d * b): p[a] * p[b] if not (a and b) else
+             sum(weight(mu, nu, d) for mu in partitions(a) for nu in partitions(b))
+             for a in range(m // d + 1) for b in range(n // d + 1) if a or b}
         local, power, binom, nd = {(0, 0): 1}, {(0, 0): 1}, 1, eigen_count(d)
-        for k in range(1, M + N + 1):
-            power = _series_mul(power, g, M, N)
+        for k in range(1, m // d + n // d + 1):
             binom = binom * (nd - k + 1) // k  # C(nd, k), exact at every step
+            if binom == 0:  # nd < k: every later C(nd, k) is 0 too
+                break
+            power = _series_mul(power, g, m, n)
             for key, c in power.items():
                 local[key] = local.get(key, 0) + binom * c
-        total = _series_mul(total, {(d * a, d * b): c for (a, b), c in local.items()},
-                            m, n)
-    return total.get((m, n), 0)
+        total = _series_mul(total, local, m, n)
+    return total
 
 
 def _eigen_count(q):
@@ -136,7 +141,7 @@ def parabolic_class_count(m: int, n: int, field: FiniteField,
         raise ValueError("block dimensions must be >= 1")
     return int(_count_by_type(
         m, n, _eigen_count(field.order),
-        lambda mu, nu, d: orbit_count_cached(mu, nu, field, d, budget)))
+        lambda mu, nu, d: orbit_count_cached(mu, nu, field, d, budget))[m, n])
 
 
 @dataclass
@@ -336,9 +341,9 @@ def count_poly(m: int, n: int, budget: int = DEFAULT_BUDGET) -> CountPolynomial:
     if m < 1 or n < 1:
         raise ValueError("block dimensions must be >= 1")
 
-    poly = _count_by_type(m, n, _eigen_count(CountPolynomial((0, 1))),
-                          lambda mu, nu, d: orbit_count_cached(mu, nu, ff(2), d, budget))
-    coeffs = list(poly)
+    coeffs = list(_count_by_type(
+        m, n, _eigen_count(CountPolynomial((0, 1))),
+        lambda mu, nu, d: orbit_count_cached(mu, nu, ff(2), d, budget))[m, n])
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if any(Fraction(c).denominator != 1 for c in coeffs):
@@ -355,14 +360,15 @@ def gl_class_count(n: int, field: FiniteField) -> int:
     (sum over k of p(k) x^k) ** (number of eigenvalues of that degree)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return int(_count_by_type(n, 0, _eigen_count(field.order), None))
+    return int(_count_by_type(n, 0, _eigen_count(field.order), None)[n, 0])
 
 
 def agl_class_count(n: int, field: FiniteField) -> int:
-    """Sum of the invertible class counts in dimensions n, n-1, ..., 0."""
+    """Sum of the invertible class counts in dimensions 0..n: every coefficient
+    of one GL type sum up to x^n, each exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum(gl_class_count(n - d, field) for d in range(n + 1))
+    return int(sum(_count_by_type(n, 0, _eigen_count(field.order), None).values()))
 
 
 def eigen_one_poly(field: FiniteField) -> Poly:

@@ -147,7 +147,8 @@ def _bruhat_cells(mu, nu):
     shape, refused as `CocentShape` refuses malformed sides: with m_1..m_k
     the multiplicities of the distinct parts of the other side, in
     descending order of part, every tuple with 0 <= r_i <= m_i and
-    sum r_i <= a.  They are its orbits.
+    sum r_i <= a, in lexicographic order, built r_i by r_i within
+    a - r_1 - ... - r_(i-1), none other made.  They are its orbits.
 
     Proof, for mu = (1^a) (nu = (1^b) is the transpose): every entry has
     length min(1, nu_j) = 1, so the space is the a x l(nu) matrices over K,
@@ -184,8 +185,10 @@ def _bruhat_cells(mu, nu):
     mu, nu = check_sides(mu, nu)
     for side, other in ((mu, nu), (nu, mu)):
         if set(side) == {1}:
-            return tuple(r for r in itertools.product(
-                *(range(m + 1) for m in Counter(other).values())) if sum(r) <= len(side))
+            cells = [()]
+            for m in Counter(other).values():
+                cells = [r + (k,) for r in cells for k in range(min(m, len(side) - sum(r)) + 1)]
+            return tuple(cells)
     return None
 
 

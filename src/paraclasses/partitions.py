@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
+from typing import Iterator
 
 
 def check_partition(lam) -> tuple:
@@ -34,14 +36,15 @@ def partitions(n: int) -> tuple:
     return tuple(sorted(gen(n, n)))
 
 
-def partition_counts(n: int) -> list:
-    """[p(0), ..., p(n)], nothing listed, by Euler's pentagonal recurrence:
-    p(k) = sum_{j >= 1} (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2))."""
-    p = [1] + [0] * n
-    for k in range(1, n + 1):
+def partition_numbers() -> Iterator[int]:
+    """p(0), p(1), ... without end, nothing listed, by Euler's pentagonal
+    recurrence: p(k) = sum_{j >= 1} (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2))."""
+    p = []
+    for k in itertools.count():
+        p.append(int(k == 0))
         j = 1
         while (g := j * (3 * j - 1) // 2) <= k:
             s = p[k - g] + (p[k - g - j] if g + j <= k else 0)
             p[k] += s if j % 2 else -s
             j += 1
-    return p
+        yield p[k]

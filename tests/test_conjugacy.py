@@ -402,15 +402,35 @@ def test_gl_and_agl_counts_list_no_partition(monkeypatch):
     assert calls  # the spy sees the two-sided terms list their pairs
 
 
+def test_agl_count_is_one_gl_sum(monkeypatch):
+    # one GL type sum up to x^n holds every GL_k, k <= n, exactly
+    real, calls = paraclasses.conjugacy._count_by_type, []
+
+    def spy(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(paraclasses.conjugacy, "_count_by_type", spy)
+    assert agl_class_count(30, F3) == sum(_gl_class_counts(30, 3))
+    assert calls == [(30, 0)]
+    for q in (2, 3):
+        agl = list(itertools.accumulate(_gl_class_counts(100, q)))
+        assert [agl_class_count(n, ff(q)) for n in range(1, 101)] == agl[1:]
+
+
 @pytest.mark.parametrize("count,m,n,terms", [
-    (lambda: parabolic_class_count(1, 200, F3), 1, 200, 47060797174488),
-    (lambda: parabolic_class_count(2, 40, F2), 2, 40, 648634),
-    (lambda: count_poly(2, 40), 2, 40, 648634)])
+    (lambda: parabolic_class_count(1, 200, F3), 1, 200, 313064),
+    (lambda: parabolic_class_count(2, 40, F2), 2, 40, 297396),
+    (lambda: count_poly(2, 40), 2, 40, 297396),
+    (lambda: parabolic_class_count(1, 10 ** 6, F2), 1, 10 ** 6, 313064)])
 def test_type_sum_past_its_limit_is_refused_before_listing(monkeypatch, count, m, n, terms):
+    # refused as soon as the degree-1 two-sided terms read so far pass the
+    # limit, (p(0) + p(1) - 1)(p(0) + ... + p(k) - 1) for (1, n): (1,200)
+    # and (1,10^6) stop at the same k, long before p(n)
     calls = _spy_partitions(monkeypatch)
     with pytest.raises(BudgetExceeded) as ei:
         count()
-    assert str(ei.value) == f"type sum of ({m},{n}) needs {terms} terms, budget 262144"
+    assert str(ei.value) == f"type sum of ({m},{n}) needs at least {terms} terms, budget 262144"
     assert calls == []
 
 
@@ -420,7 +440,8 @@ def test_type_sum_limit_counts_the_two_sided_terms(monkeypatch):
     monkeypatch.setattr(paraclasses.conjugacy, "_TYPE_SUM_LIMIT", 10)
     assert parabolic_class_count(2, 2, F3) == 90
     monkeypatch.setattr(paraclasses.conjugacy, "_TYPE_SUM_LIMIT", 9)
-    with pytest.raises(BudgetExceeded, match=r"^type sum of \(2,2\) needs 10 terms, budget 9$"):
+    with pytest.raises(BudgetExceeded,
+                       match=r"^type sum of \(2,2\) needs at least 10 terms, budget 9$"):
         parabolic_class_count(2, 2, F3)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,7 @@ from paraclasses.gf import extend, extension, ff, irreducibles
 from paraclasses.cocentralizer import CocentElement, CocentShape, act_left, act_right
 from paraclasses.errors import BudgetExceeded
 from paraclasses.kernels import _CHUNK, _bfs_sweep, _label_sweep
-from paraclasses.matrix_problem import (canonical_form, decode, encode,
+from paraclasses.matrix_problem import (_bruhat_cells, canonical_form, decode, encode,
                                         enumerate_orbits, orbit_count,
                                         packed_actions, reduce_structured,
                                         type_classify, wild_invariant)
@@ -61,6 +62,18 @@ def test_orbit_memo_returns_the_same_set_and_still_checks_the_budget():
         with pytest.raises(BudgetExceeded) as ei:
             enumerate_orbits(mu, nu, F3, budget=3 ** os_.shape.dim - 1)
         assert ei.value.required == 3 ** os_.shape.dim
+
+
+def test_cells_are_the_filtered_box_in_its_order():
+    # the reference lists the whole box of tuples 0 <= r_i <= m_i and keeps
+    # those with sum r_i <= a; the cells are built within that bound
+    for a in range(1, 5):
+        for b in range(1, 11):
+            for nu in partitions(b):
+                box = itertools.product(*(range(m + 1) for m in Counter(nu).values()))
+                cells = tuple(r for r in box if sum(r) <= a)
+                assert _bruhat_cells((1,) * a, nu) == cells
+                assert _bruhat_cells(nu, (1,) * a) == cells
 
 
 def test_malformed_partitions_raise_before_the_cells_are_read():
