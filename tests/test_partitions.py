@@ -23,6 +23,5 @@ def test_partitions_refuse_a_negative_size():
 
 def test_partition_counts_match_the_listing():
     p = list(itertools.islice(partition_numbers(), 201))
-    assert next(partition_numbers()) == 1
     assert p[:31] == [len(partitions(k)) for k in range(31)]
     assert p[200] == 3972999029388  # MacMahon's p(200)
